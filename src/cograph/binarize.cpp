@@ -39,10 +39,15 @@ void BinarizedCotree::validate() const {
 /// (core/count.cpp) all fold in one linear pass on the strength of this.
 std::int32_t binarize_into(const Cotree& t, BinSpans out,
                            exec::Arena& arena) {
+  // Every slot is written here, so callers hand in unfilled storage.
   std::int32_t next_id = 0;
   const auto new_node = [&](bool join) {
     const std::int32_t id = next_id++;
-    out.is_join[static_cast<std::size_t>(id)] = join ? 1 : 0;
+    const auto u = static_cast<std::size_t>(id);
+    out.is_join[u] = join ? 1 : 0;
+    out.left[u] = -1;
+    out.right[u] = -1;
+    out.vertex[u] = kNull;
     return id;
   };
   const auto link = [&](std::int32_t p, std::int32_t l, std::int32_t r) {
@@ -142,23 +147,22 @@ BinarizedCotree binarize(const Cotree& t) {
   return out;
 }
 
-void binarize_scratch(const Cotree& t, exec::Arena& arena,
-                      ScratchBinarized& out) {
-  const std::size_t leaves = t.vertex_count();
+BinSpans ScratchBinarized::size_for(std::size_t leaves) {
   COPATH_CHECK(leaves > 0);
   const std::size_t bn = 2 * leaves - 1;
-  out.parent.assign(bn, -1);
-  out.left.assign(bn, -1);
-  out.right.assign(bn, -1);
-  out.is_join.assign(bn, 0);
-  out.vertex.assign(bn, kNull);
-  out.leaf_of_vertex.assign(leaves, -1);
-  out.root = binarize_into(
-      t,
-      BinSpans{out.parent.span(), out.left.span(), out.right.span(),
-               out.is_join.span(), out.vertex.span(),
-               out.leaf_of_vertex.span()},
-      arena);
+  parent.resize_for_overwrite(bn);
+  left.resize_for_overwrite(bn);
+  right.resize_for_overwrite(bn);
+  is_join.resize_for_overwrite(bn);
+  vertex.resize_for_overwrite(bn);
+  leaf_of_vertex.resize_for_overwrite(leaves);
+  return BinSpans{parent.span(),  left.span(),   right.span(),
+                  is_join.span(), vertex.span(), leaf_of_vertex.span()};
+}
+
+void binarize_scratch(const Cotree& t, exec::Arena& arena,
+                      ScratchBinarized& out) {
+  out.root = binarize_into(t, out.size_for(t.vertex_count()), arena);
 }
 
 std::vector<std::int64_t> make_leftist(BinarizedCotree& bc) {
@@ -169,7 +173,7 @@ std::vector<std::int64_t> make_leftist(BinarizedCotree& bc) {
 
 void make_leftist_scratch(ScratchBinarized& bc,
                           exec::ScratchVec<std::int64_t>& leaf_count) {
-  leaf_count.assign(bc.size(), 0);
+  leaf_count.resize_for_overwrite(bc.size());
   make_leftist_into(bc.left.span(), bc.right.span(), leaf_count.span());
 }
 

@@ -67,8 +67,20 @@ struct BinView {
                  bc.vertex,    bc.leaf_of_vertex, bc.tree.root};
 }
 
-/// Arena-backed binarized cotree (the express-lane form): identical layout
-/// to BinarizedCotree, storage recycled through `arena`.
+/// Mutable output surface of the binarizer: every span pre-sized by the
+/// caller (2L-1 nodes, L vertices). binarize_into writes every slot, so the
+/// storage needs no pre-fill. The packed batch path (service/batch.cpp)
+/// points these at slices of one exec::Slab so a whole batch of binarized
+/// trees shares one allocation.
+struct BinSpans {
+  std::span<std::int32_t> parent, left, right;
+  std::span<std::uint8_t> is_join;
+  std::span<VertexId> vertex;
+  std::span<par::NodeId> leaf_of_vertex;
+};
+
+/// Arena-backed binarized cotree (the solve kernel's storage): identical
+/// layout to BinarizedCotree, storage recycled through `arena`.
 struct ScratchBinarized {
   exec::ScratchVec<std::int32_t> parent, left, right;
   exec::ScratchVec<std::uint8_t> is_join;
@@ -85,18 +97,10 @@ struct ScratchBinarized {
     return BinView{left.span(),   right.span(),         is_join.span(),
                    vertex.span(), leaf_of_vertex.span(), root};
   }
-};
 
-/// Mutable output surface of the binarizer: every span pre-sized by the
-/// caller (2L-1 nodes, L vertices) and pre-filled like binarize_scratch
-/// fills its arrays (parent/left/right = -1, vertex = kNull, is_join = 0).
-/// The packed batch path (service/batch.cpp) points these at slices of one
-/// exec::Slab so a whole batch of binarized trees shares one allocation.
-struct BinSpans {
-  std::span<std::int32_t> parent, left, right;
-  std::span<std::uint8_t> is_join;
-  std::span<VertexId> vertex;
-  std::span<par::NodeId> leaf_of_vertex;
+  /// Sizes every array for an L-leaf cotree (2L-1 nodes, L > 0), contents
+  /// left for binarize_into to write, and returns its output surface.
+  BinSpans size_for(std::size_t leaves);
 };
 
 /// The single binarization implementation over caller-provided storage

@@ -7,7 +7,6 @@
 #include "cograph/binarize.hpp"
 #include "core/adaptive.hpp"
 #include "core/count.hpp"
-#include "core/hamiltonian.hpp"
 #include "exec/arena.hpp"
 #include "service/batch.hpp"
 #include "service/express.hpp"
@@ -117,15 +116,24 @@ const cograph::CanonicalForm& Instance::canonical() const {
 SolveResult Solver::solve_with(const Instance& inst,
                                const std::string& label,
                                const SolveOptions& opts) const {
-  SolveResult res;
-  res.label = label;
-  res.backend = opts.backend;
   try {
     const cograph::Cotree& t = inst.resolve();
     const auto entry = core::BackendRegistry::instance().find(opts.backend);
     COPATH_CHECK_MSG(entry != nullptr,
                      "backend not registered: "
                          << core::to_string(opts.backend));
+
+    // The host-sweep route runs the sequential solve kernel inline (one
+    // binarization for cover and verdicts). The sweep has no internal
+    // checkpoints, so cancel is honored once, up front.
+    if (opts.backend == Backend::Sequential ||
+        (opts.backend == Backend::Adaptive &&
+         core::adaptive_route(t, opts.cost_model, opts.workers) ==
+             Backend::Sequential)) {
+      if (opts.cancel != nullptr) opts.cancel->checkpoint();
+      return service::solve_sweep(t, label, opts,
+                                  exec::Arena::for_this_thread());
+    }
 
     core::BackendConfig cfg;
     cfg.workers = opts.workers;
@@ -136,6 +144,9 @@ SolveResult Solver::solve_with(const Instance& inst,
     cfg.cost_model = opts.cost_model;
     cfg.cancel = opts.cancel;
 
+    SolveResult res;
+    res.label = label;
+    res.backend = opts.backend;
     util::WallTimer timer;
     core::BackendOutput out = entry->fn(t, cfg);
     res.wall_ms = timer.millis();
@@ -148,35 +159,14 @@ SolveResult Solver::solve_with(const Instance& inst,
     res.trace = std::move(out.trace);
     res.trace_valid = out.traced;
 
-    if (opts.compute_verdicts) {
-      res.optimal_size = core::path_cover_size(t);
-      res.minimum =
-          static_cast<std::int64_t>(res.cover.size()) == res.optimal_size;
-      res.hamiltonian_path = res.optimal_size == 1;
-      res.hamiltonian_cycle = core::has_hamiltonian_cycle(t);
-      if (opts.want_hamiltonian_cycle && res.hamiltonian_cycle) {
-        res.cycle = core::hamiltonian_cycle(t);
-      }
-    } else {
-      res.optimal_size = -1;
-      if (opts.want_hamiltonian_cycle) {
-        res.cycle = core::hamiltonian_cycle(t);
-        res.hamiltonian_cycle = res.cycle.has_value();
-      }
-    }
-    if (opts.validate) {
-      res.validation = core::validate_path_cover(
-          t, res.cover, /*require_minimum=*/entry->exact);
-    }
-    res.ok = true;
+    service::finish_solve(res, t, opts,
+                          opts.compute_verdicts ? core::count_verdicts(t)
+                                                : core::CountVerdicts{},
+                          entry->exact);
+    return res;
   } catch (const std::exception& e) {
-    res = SolveResult{};
-    res.label = label;
-    res.backend = opts.backend;
-    res.routed = opts.backend;
-    res.error = e.what();
+    return service::solve_failure(label, opts.backend, e.what());
   }
-  return res;
 }
 
 SolveResult Solver::solve(const SolveRequest& req) const {
@@ -305,7 +295,7 @@ CountResult Solver::count(const SolveRequest& req) const {
 
     auto bc = cograph::binarize(t);
     const auto leaf_count = cograph::make_leftist(bc);
-    const auto root = static_cast<std::size_t>(bc.tree.root);
+    std::vector<std::int64_t> p;
 
     util::WallTimer timer;
     if (core::uses_pram_machine(opts.backend)) {
@@ -316,8 +306,7 @@ CountResult Solver::count(const SolveRequest& req) const {
       cfg = core::apply_backend_contract(opts.backend, cfg);
       // The binarized tree has ~2n nodes; the paper budget follows it.
       pram::Machine m(core::machine_config(2 * t.vertex_count(), cfg));
-      const auto p = core::path_counts_pram(m, bc, leaf_count);
-      res.path_cover_size = p[root];
+      p = core::path_counts_pram(m, bc, leaf_count);
       res.stats = m.stats();
       res.stats_valid = true;
     } else if (core::uses_native_executor(opts.backend)) {
@@ -325,8 +314,7 @@ CountResult Solver::count(const SolveRequest& req) const {
       cfg.workers = opts.workers;
       cfg.processors = opts.processors;
       exec::Native ex(core::native_config(cfg));
-      const auto p = core::path_counts_exec(ex, bc, leaf_count);
-      res.path_cover_size = p[root];
+      p = core::path_counts_exec(ex, bc, leaf_count);
       // Native stats count phases, not simulated cost: stats_valid stays
       // false, but the counters are handed back for inspection.
       res.stats = ex.stats();
@@ -335,12 +323,14 @@ CountResult Solver::count(const SolveRequest& req) const {
       // the O(n) sweep beats the contraction machinery at every size a
       // count-only request realistically has, so counting does not
       // consult the cost model.
-      const auto p = core::path_counts_host(bc, leaf_count);
-      res.path_cover_size = p[root];
+      p = core::path_counts_host(bc, leaf_count);
     }
     res.wall_ms = timer.millis();
-    res.hamiltonian_path = res.path_cover_size == 1;
-    res.hamiltonian_cycle = core::has_hamiltonian_cycle(t);
+    const core::CountVerdicts v =
+        core::verdicts_of(cograph::view_of(bc), leaf_count, p);
+    res.path_cover_size = v.cover_size;
+    res.hamiltonian_path = v.hamiltonian_path;
+    res.hamiltonian_cycle = v.hamiltonian_cycle;
     res.ok = true;
   } catch (const std::exception& e) {
     res = CountResult{};

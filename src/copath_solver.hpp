@@ -159,8 +159,8 @@ struct SolveOptions {
   bool validate = false;
   /// Construct the Hamiltonian cycle order when one exists.
   bool want_hamiltonian_cycle = false;
-  /// Compute optimal_size / minimum / Hamiltonicity verdicts (two extra
-  /// O(n) host sweeps). Hot paths that only need the cover turn this off;
+  /// Compute optimal_size / minimum / Hamiltonicity verdicts (one extra
+  /// O(n) host pass). Hot paths that only need the cover turn this off;
   /// SolveResult::optimal_size is then -1 and the verdict flags stay false
   /// (want_hamiltonian_cycle still works — the cycle attempt itself is the
   /// verdict).

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 
+#include "cograph/cotree.hpp"
 #include "core/backend.hpp"
 #include "exec/native.hpp"
 
@@ -102,5 +103,13 @@ struct CostModel {
   /// host; see DESIGN.md §7 for re-calibrating).
   [[nodiscard]] static const CostModel& calibrated();
 };
+
+/// Backend::Adaptive's route for `t` with `workers` threads (0 = hardware
+/// concurrency): `model` (nullptr = CostModel::calibrated()) applied to the
+/// cotree's size and shape. The one routing decision, shared by the
+/// registry's Adaptive entry and Solver's inline host-sweep route.
+[[nodiscard]] Backend adaptive_route(const cograph::Cotree& t,
+                                     const CostModel* model,
+                                     std::size_t workers);
 
 }  // namespace copath::core

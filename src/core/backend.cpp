@@ -135,16 +135,11 @@ BackendOutput run_sequential(const cograph::Cotree& t,
 
 BackendOutput run_adaptive(const cograph::Cotree& t,
                            const BackendConfig& cfg) {
-  const CostModel& model =
-      cfg.cost_model != nullptr ? *cfg.cost_model : CostModel::calibrated();
-  const std::size_t n = t.vertex_count();
-  const std::size_t internal = t.size() - n;  // cotree internal nodes
-  // hardware_concurrency is a syscall — cache it; routing runs per solve.
-  static const std::size_t hw = util::ThreadPool::default_workers();
-  const std::size_t workers = cfg.workers == 0 ? hw : cfg.workers;
-  const Backend route = model.choose(n, internal, workers);
+  const Backend route = adaptive_route(t, cfg.cost_model, cfg.workers);
   BackendOutput out;
   if (route == Backend::Native) {
+    const CostModel& model =
+        cfg.cost_model != nullptr ? *cfg.cost_model : CostModel::calibrated();
     exec::Native::Config nc = native_config(cfg);
     nc.grains = model.grains;  // the per-stage half of the dispatch
     // Steady-state serving: recycle scratch across every solve this

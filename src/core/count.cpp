@@ -38,19 +38,14 @@ std::vector<std::int64_t> path_counts_host(
   return p;
 }
 
-CountVerdicts count_verdicts(const cograph::BinView& bc,
-                             std::span<const std::int64_t> leaf_count,
-                             exec::Arena& arena) {
-  const std::size_t n = bc.size();
-  COPATH_CHECK(leaf_count.size() == n);
-  exec::ScratchVec<std::int64_t> p(arena, n, 0);
-  path_counts_core(bc, leaf_count, p.span());
+CountVerdicts verdicts_of(const cograph::BinView& bc,
+                          std::span<const std::int64_t> leaf_count,
+                          std::span<const std::int64_t> p) {
   CountVerdicts out;
   const auto root = static_cast<std::size_t>(bc.root);
   out.cover_size = p[root];
   out.hamiltonian_path = out.cover_size == 1;
-  // Cycle corollary: n >= 3 and the root split join(V, W) has p(V) <= L(W)
-  // (mirrors core/hamiltonian.cpp's root_split test exactly).
+  // Cycle corollary: n >= 3 and the root split join(V, W) has p(V) <= L(W).
   if (bc.leaf_of_vertex.size() >= 3 && bc.left[root] != -1 &&
       bc.is_join[root] != 0) {
     const auto pv = p[static_cast<std::size_t>(bc.left[root])];
@@ -60,19 +55,33 @@ CountVerdicts count_verdicts(const cograph::BinView& bc,
   return out;
 }
 
+CountVerdicts count_verdicts(const cograph::BinView& bc,
+                             std::span<const std::int64_t> leaf_count,
+                             exec::Arena& arena) {
+  const std::size_t n = bc.size();
+  COPATH_CHECK(leaf_count.size() == n);
+  exec::ScratchVec<std::int64_t> p(arena, n, 0);
+  path_counts_core(bc, leaf_count, p.span());
+  return verdicts_of(bc, leaf_count, p.span());
+}
+
 std::vector<std::int64_t> path_counts_pram(
     pram::Machine& m, const cograph::BinarizedCotree& bc,
     const std::vector<std::int64_t>& leaf_count) {
   return path_counts_exec(m, bc, leaf_count);
 }
 
-std::int64_t path_cover_size(const cograph::Cotree& t) {
+CountVerdicts count_verdicts(const cograph::Cotree& t) {
   exec::Arena& arena = exec::Arena::for_this_thread();
   cograph::ScratchBinarized bc(arena);
   cograph::binarize_scratch(t, arena, bc);
   exec::ScratchVec<std::int64_t> leaf_count(arena);
   cograph::make_leftist_scratch(bc, leaf_count);
-  return count_verdicts(bc.view(), leaf_count.span(), arena).cover_size;
+  return count_verdicts(bc.view(), leaf_count.span(), arena);
+}
+
+std::int64_t path_cover_size(const cograph::Cotree& t) {
+  return count_verdicts(t).cover_size;
 }
 
 bool has_hamiltonian_path(const cograph::Cotree& t) {

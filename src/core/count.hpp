@@ -75,21 +75,29 @@ std::vector<std::int64_t> path_counts_host(
     const cograph::BinarizedCotree& bc,
     const std::vector<std::int64_t>& leaf_count);
 
-/// The §1 corollary verdicts evaluated in ONE host p-sweep over a leftist
-/// binarized view (scratch from `arena`): the minimum cover size, the
-/// Hamiltonian-path verdict (p(root) == 1) and the Hamiltonian-cycle
-/// verdict (n >= 3 and the root split join(V, W) has p(V) <= L(W) — the
-/// same test core/hamiltonian.cpp performs). The express lane uses this to
-/// compute every verdict from the binarized tree it already built, where
-/// the generic Solver path re-binarizes per verdict.
+/// The §1 corollary verdicts: the minimum cover size, the Hamiltonian-path
+/// verdict (p(root) == 1) and the Hamiltonian-cycle verdict (n >= 3 and
+/// the root split join(V, W) has p(V) <= L(W)).
 struct CountVerdicts {
   std::int64_t cover_size = 0;
   bool hamiltonian_path = false;
   bool hamiltonian_cycle = false;
 };
+
+/// The verdicts off any engine's p array over the leftist binarized view
+/// `bc` — the one copy of the root-split cycle test.
+CountVerdicts verdicts_of(const cograph::BinView& bc,
+                          std::span<const std::int64_t> leaf_count,
+                          std::span<const std::int64_t> p);
+
+/// Every verdict from ONE host p-sweep (scratch from `arena`) — the
+/// sequential solve kernel runs it on the tree it binarized for the sweep.
 CountVerdicts count_verdicts(const cograph::BinView& bc,
                              std::span<const std::int64_t> leaf_count,
                              exec::Arena& arena);
+
+/// Same, binarizing `t` once into the calling thread's arena.
+CountVerdicts count_verdicts(const cograph::Cotree& t);
 
 /// Executor evaluation (Lemma 2.4) — tree contraction over the max-plus
 /// affine family on any executor: O(log n) steps, O(n) work, EREW on the

@@ -5,47 +5,11 @@
 #include "cograph/binarize.hpp"
 #include "core/count.hpp"
 #include "core/sequential.hpp"
-#include "exec/scratch.hpp"
 
 namespace copath::core {
 
-namespace {
-
-struct RootSplit {
-  bool root_is_join = false;
-  std::int64_t pv = 0;
-  std::int64_t lw = 0;
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-};
-
-RootSplit root_split(const cograph::BinarizedCotree& bc,
-                     const std::vector<std::int64_t>& leaf_count,
-                     const std::vector<std::int64_t>& p) {
-  RootSplit rs;
-  const auto root = static_cast<std::size_t>(bc.tree.root);
-  if (bc.tree.left[root] == -1) return rs;  // single vertex
-  rs.root_is_join = bc.is_join[root] != 0;
-  rs.left = bc.tree.left[root];
-  rs.right = bc.tree.right[root];
-  rs.pv = p[static_cast<std::size_t>(rs.left)];
-  rs.lw = leaf_count[static_cast<std::size_t>(rs.right)];
-  return rs;
-}
-
-}  // namespace
-
 bool has_hamiltonian_cycle(const cograph::Cotree& t) {
-  if (t.vertex_count() < 3) return false;
-  // Arena-backed: the verdict runs after every solve, so its binarized
-  // tree and p-sweep are recycled scratch, not fresh vectors.
-  exec::Arena& arena = exec::Arena::for_this_thread();
-  cograph::ScratchBinarized bc(arena);
-  cograph::binarize_scratch(t, arena, bc);
-  exec::ScratchVec<std::int64_t> leaf_count(arena);
-  cograph::make_leftist_scratch(bc, leaf_count);
-  return count_verdicts(bc.view(), leaf_count.span(), arena)
-      .hamiltonian_cycle;
+  return count_verdicts(t).hamiltonian_cycle;
 }
 
 std::optional<std::vector<VertexId>> hamiltonian_path(
@@ -61,8 +25,13 @@ std::optional<std::vector<VertexId>> hamiltonian_cycle(
   auto bc = cograph::binarize(t);
   const auto leaf_count = cograph::make_leftist(bc);
   const auto p = path_counts_host(bc, leaf_count);
-  const RootSplit rs = root_split(bc, leaf_count, p);
-  if (!rs.root_is_join || rs.pv > rs.lw) return std::nullopt;
+  if (!verdicts_of(cograph::view_of(bc), leaf_count, p).hamiltonian_cycle) {
+    return std::nullopt;
+  }
+  // Root split join(V, W), p(V) <= L(W).
+  const auto root = static_cast<std::size_t>(bc.tree.root);
+  const std::int32_t v_root = bc.tree.left[root];
+  const std::int32_t w_root = bc.tree.right[root];
 
   // Minimum cover of G(V) (the root's left side): run the sequential
   // algorithm on the left subtree in isolation by temporarily re-rooting.
@@ -79,7 +48,7 @@ std::optional<std::vector<VertexId>> hamiltonian_cycle(
     std::vector<std::int32_t> map(bn, -1);
     std::vector<std::int32_t> order;
     order.reserve(bn);
-    std::vector<std::int32_t> stack{rs.left};
+    std::vector<std::int32_t> stack{v_root};
     while (!stack.empty()) {
       const std::int32_t v = stack.back();
       stack.pop_back();
@@ -134,7 +103,7 @@ std::optional<std::vector<VertexId>> hamiltonian_cycle(
   // Gather W's vertices (leaf descendants of the root's right child).
   std::vector<VertexId> w;
   {
-    std::vector<std::int32_t> stack{rs.right};
+    std::vector<std::int32_t> stack{w_root};
     while (!stack.empty()) {
       const auto v = static_cast<std::size_t>(stack.back());
       stack.pop_back();
@@ -146,8 +115,10 @@ std::optional<std::vector<VertexId>> hamiltonian_cycle(
       stack.push_back(bc.tree.right[v]);
     }
   }
-  COPATH_CHECK(static_cast<std::int64_t>(w.size()) == rs.lw);
-  COPATH_CHECK(static_cast<std::int64_t>(vcover.paths.size()) == rs.pv);
+  COPATH_CHECK(static_cast<std::int64_t>(w.size()) ==
+               leaf_count[static_cast<std::size_t>(w_root)]);
+  COPATH_CHECK(static_cast<std::int64_t>(vcover.paths.size()) ==
+               p[static_cast<std::size_t>(v_root)]);
 
   // Bridge the p(V) paths into a cycle with p(V) W-vertices, then insert
   // the remaining W-vertices into V-gaps (never two W's adjacent).

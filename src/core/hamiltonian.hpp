@@ -28,25 +28,21 @@ bool has_hamiltonian_cycle(const cograph::Cotree& t);
 /// through the supplied executor (checked PRAM or Native) instead of the
 /// host sweep, so heavy verdict batches ride the production substrate.
 template <typename E>
-bool has_hamiltonian_path_exec(E& m, const cograph::Cotree& t) {
+CountVerdicts count_verdicts_exec(E& m, const cograph::Cotree& t) {
   auto bc = cograph::binarize(t);
   const auto leaf_count = cograph::make_leftist(bc);
   const auto p = path_counts_exec(m, bc, leaf_count);
-  return p[static_cast<std::size_t>(bc.tree.root)] == 1;
+  return verdicts_of(cograph::view_of(bc), leaf_count, p);
+}
+
+template <typename E>
+bool has_hamiltonian_path_exec(E& m, const cograph::Cotree& t) {
+  return count_verdicts_exec(m, t).hamiltonian_path;
 }
 
 template <typename E>
 bool has_hamiltonian_cycle_exec(E& m, const cograph::Cotree& t) {
-  if (t.vertex_count() < 3) return false;
-  auto bc = cograph::binarize(t);
-  const auto leaf_count = cograph::make_leftist(bc);
-  const auto p = path_counts_exec(m, bc, leaf_count);
-  const auto root = static_cast<std::size_t>(bc.tree.root);
-  if (bc.tree.left[root] == -1 || !bc.is_join[root]) return false;
-  // Root split join(V, W): Hamiltonian cycle iff p(V) <= L(W).
-  const auto pv = p[static_cast<std::size_t>(bc.tree.left[root])];
-  const auto lw = leaf_count[static_cast<std::size_t>(bc.tree.right[root])];
-  return pv <= lw;
+  return count_verdicts_exec(m, t).hamiltonian_cycle;
 }
 
 /// The vertices of a Hamiltonian path in order, if one exists.

@@ -101,13 +101,18 @@ class ScratchVec {
 
   void clear() { size_ = 0; }
 
-  /// Sets the size to exactly n, filling every slot with `value` (the
-  /// front-end passes always want a defined initial state, so there is no
-  /// uninitialized resize).
+  /// Sets the size to exactly n, filling every slot with `value`.
   void assign(std::size_t n, T value) {
+    resize_for_overwrite(n);
+    for (std::size_t i = 0; i < n; ++i) data()[i] = value;
+  }
+
+  /// Sets the size to exactly n, leaving the slots uninitialized: only for
+  /// passes that write every slot before reading any (the binarizer's
+  /// output arrays, the leftist leaf counts).
+  void resize_for_overwrite(std::size_t n) {
     reserve(n);
     size_ = n;
-    for (std::size_t i = 0; i < n; ++i) data()[i] = value;
   }
 
   /// Grows (never shrinks) to size n; new slots are filled with `value`.

@@ -6,14 +6,9 @@
 #include <utility>
 
 #include "cograph/binarize.hpp"
-#include "core/adaptive.hpp"
-#include "core/count.hpp"
-#include "core/hamiltonian.hpp"
-#include "core/sequential.hpp"
 #include "exec/pack.hpp"
 #include "service/express.hpp"
 #include "service/persist_cache.hpp"
-#include "util/timer.hpp"
 
 namespace copath::service {
 namespace {
@@ -26,14 +21,6 @@ SolveResult prep_failure(const std::string& label, Backend backend,
   res.label = label;
   res.backend = backend;
   res.error = std::move(error);
-  return res;
-}
-
-/// Failure shape of solve_express's catch: routed echoes the backend.
-SolveResult solve_failure(const std::string& label, Backend backend,
-                          std::string error) {
-  SolveResult res = prep_failure(label, backend, std::move(error));
-  res.routed = backend;
   return res;
 }
 
@@ -356,68 +343,23 @@ std::vector<SolveResult> solve_batch_fused(
   const auto lov = slab.at(sp_lov);
   const auto is_join = slab.at(sp_join);
 
-  // ---- sweep: back-to-back express solves over the slab slices ---------
+  // ---- sweep: back-to-back kernel solves over the slab slices -----------
   std::size_t node_off = 0, leaf_off = 0;
   for (std::size_t k = 0; k < packed.size(); ++k) {
     if (trees[k] == nullptr) continue;  // resolution failed above
     const Group& g = groups[packed[k]];
     const std::size_t rep = g.members.front();
     const Prep& rp = preps[rep];
-    const cograph::Cotree& t = *trees[k];
     const std::size_t n = rp.n;
     const std::size_t bn = 2 * n - 1;
-
+    const cograph::BinSpans spans{
+        parent.subspan(node_off, bn), left.subspan(node_off, bn),
+        right.subspan(node_off, bn),  is_join.subspan(node_off, bn),
+        vertex.subspan(node_off, bn), lov.subspan(leaf_off, n)};
     SolveResult res;
-    res.label = reqs[rep].label;
-    res.backend = rp.opts.backend;
     try {
-      // Operation-for-operation the solve_express body, with the
-      // ScratchBinarized arrays replaced by slab slices — same layout,
-      // same sweeps, bitwise-equal covers.
-      util::WallTimer timer;
-      const cograph::BinSpans spans{
-          parent.subspan(node_off, bn), left.subspan(node_off, bn),
-          right.subspan(node_off, bn),  is_join.subspan(node_off, bn),
-          vertex.subspan(node_off, bn), lov.subspan(leaf_off, n)};
-      for (std::size_t v = 0; v < bn; ++v) spans.parent[v] = -1;
-      for (std::size_t v = 0; v < bn; ++v) spans.left[v] = -1;
-      for (std::size_t v = 0; v < bn; ++v) spans.right[v] = -1;
-      for (std::size_t v = 0; v < bn; ++v) spans.is_join[v] = 0;
-      for (std::size_t v = 0; v < bn; ++v) spans.vertex[v] = cograph::kNull;
-      for (std::size_t v = 0; v < n; ++v) spans.leaf_of_vertex[v] = -1;
-      const std::int32_t root = cograph::binarize_into(t, spans, arena);
-      const auto lc = leaf_count.subspan(node_off, bn);
-      cograph::make_leftist_into(spans.left, spans.right, lc);
-      const cograph::BinView view{spans.left,   spans.right,
-                                  spans.is_join, spans.vertex,
-                                  spans.leaf_of_vertex, root};
-      res.cover = core::min_path_cover_sequential(view, lc, arena);
-      res.wall_ms = timer.millis();
-
-      res.routed = Backend::Sequential;
-      res.vertex_count = n;
-      if (rp.opts.compute_verdicts) {
-        const core::CountVerdicts v = core::count_verdicts(view, lc, arena);
-        res.optimal_size = v.cover_size;
-        res.minimum =
-            static_cast<std::int64_t>(res.cover.size()) == res.optimal_size;
-        res.hamiltonian_path = v.hamiltonian_path;
-        res.hamiltonian_cycle = v.hamiltonian_cycle;
-        if (rp.opts.want_hamiltonian_cycle && res.hamiltonian_cycle) {
-          res.cycle = core::hamiltonian_cycle(t);
-        }
-      } else {
-        res.optimal_size = -1;
-        if (rp.opts.want_hamiltonian_cycle) {
-          res.cycle = core::hamiltonian_cycle(t);
-          res.hamiltonian_cycle = res.cycle.has_value();
-        }
-      }
-      if (rp.opts.validate) {
-        res.validation =
-            core::validate_path_cover(t, res.cover, /*require_minimum=*/true);
-      }
-      res.ok = true;
+      res = solve_sweep(*trees[k], reqs[rep].label, rp.opts, spans,
+                        leaf_count.subspan(node_off, bn), arena);
       ++out.packed_solves;
     } catch (const std::exception& e) {
       res = solve_failure(reqs[rep].label, rp.opts.backend, e.what());

@@ -13,10 +13,11 @@
 //               is_join/vertex/leaf_of_vertex/leaf_count) are laid side by
 //               side in ONE exec::Arena allocation (exec::Slab) with
 //               per-instance offsets — one acquire for the whole batch.
-//  4. SWEEP   — the packed instances are binarized straight into their
-//               slices and swept back-to-back on the calling thread,
-//               mirroring service::solve_express operation for operation so
-//               covers stay bitwise-equal to per-instance solves.
+//  4. SWEEP   — the sequential solve kernel (service::solve_sweep) runs
+//               once per packed instance, back-to-back on the calling
+//               thread, binarizing straight into that instance's slices —
+//               the same kernel every per-instance host solve runs, so
+//               covers stay bitwise-equal.
 //  5. SCATTER — the group rep keeps its direct result; other members are
 //               replayed through their own canonical permutation
 //               (BatchDedup::Canonical) or by identity copy

@@ -1,29 +1,28 @@
-// The Service express lane: registry-free inline solving of small
-// instances.
+// The sequential solve kernel, and the Service express lane built on it.
 //
-// Below the Adaptive cost model's native floor, every request is routed to
-// the sequential sweep anyway — but the generic path still walks the
-// backend registry, builds a BackendConfig, runs the type-erased BackendFn,
-// claims a native-thread lease it will never use, and re-binarizes the
-// cotree twice more for the verdict sweeps. At serving sizes (n <= 4096,
-// the ROADMAP's dominant traffic) that fixed machinery costs more than the
-// solve. The express lane replaces it with one inline pass on the worker
-// thread:
+// solve_sweep is the library's one host solve: binarize -> leftist ->
+// Lemma 2.3 sweep -> verdicts -> optional cycle -> optional validate, with
+// the binarized tree built once and shared by the sweep and every verdict.
+// Its callers differ only in where that tree lives: Solver::solve's
+// host-sweep route (Backend::Sequential, and Backend::Adaptive whenever
+// its cost model picks the sweep) and the express lane use the thread's
+// exec::Arena; the packed batch loop (service/batch.cpp) hands it slices
+// of one exec::Slab. Results are therefore bitwise-identical whichever
+// caller ran it, and a warm thread solves without heap allocations beyond
+// the SolveResult it returns.
 //
-//   resolve -> binarize -> leftist -> sequential sweep -> verdicts,
-//
-// with the binarized tree built once (shared by the sweep AND both
-// verdicts) and every scratch array carved from the worker's exec::Arena —
-// a warm worker runs the whole request without heap allocations beyond the
-// SolveResult it returns.
-//
-// Results are bitwise-identical to the Solver path: the same sweep runs on
-// the same binarized tree, and Backend::Adaptive's sequential-routing
-// domain (everything below the model floor) promises covers bitwise-equal
-// to Backend::Sequential — the differential suites enforce both.
+// The express lane is the Service's registry-free call into the kernel
+// below the Adaptive floor, where the route is fixed and no thread lease
+// is needed.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <string>
+
+#include "cograph/binarize.hpp"
 #include "copath_solver.hpp"
+#include "core/count.hpp"
 #include "exec/arena.hpp"
 
 namespace copath::service {
@@ -36,9 +35,39 @@ namespace copath::service {
 /// answer.
 [[nodiscard]] bool express_eligible(std::size_t n, const SolveOptions& opts);
 
-/// The inline solve. Mirrors Solver::solve's structured-failure contract:
-/// never throws, resolution failures come back as ok == false. Scratch
-/// comes from `arena` (pass the worker thread's Arena::for_this_thread()).
+/// The kernel over caller-provided storage: `bin` sized for `t` (2n-1
+/// nodes, n vertices) and `leaf_count` (2n-1), both overwritten. routed
+/// is Sequential; wall_ms times binarize + leftist + sweep. Throws on
+/// failure (callers build the solve_failure result); never polls
+/// opts.cancel.
+[[nodiscard]] SolveResult solve_sweep(const cograph::Cotree& t,
+                                      const std::string& label,
+                                      const SolveOptions& opts,
+                                      cograph::BinSpans bin,
+                                      std::span<std::int64_t> leaf_count,
+                                      exec::Arena& arena);
+
+/// The tail every solve shares once its cover is in: `v`'s verdicts (or
+/// the -1 sentinel with compute_verdicts off), the optional Hamiltonian
+/// cycle, validation (minimality required iff `exact`), then ok = true.
+void finish_solve(SolveResult& res, const cograph::Cotree& t,
+                  const SolveOptions& opts, const core::CountVerdicts& v,
+                  bool exact);
+
+/// The kernel with its storage carved from `arena`.
+[[nodiscard]] SolveResult solve_sweep(const cograph::Cotree& t,
+                                      const std::string& label,
+                                      const SolveOptions& opts,
+                                      exec::Arena& arena);
+
+/// The structured result of a solve that threw (Solver::solve, the express
+/// lane, the packed batch loop): `routed` echoes the backend.
+[[nodiscard]] SolveResult solve_failure(const std::string& label,
+                                        Backend backend, std::string error);
+
+/// The express lane: resolve, then solve_sweep. Never throws: failures
+/// come back as ok == false, like Solver::solve. Pass the worker thread's
+/// Arena::for_this_thread() as `arena`.
 [[nodiscard]] SolveResult solve_express(const Instance& inst,
                                         const std::string& label,
                                         const SolveOptions& opts,

@@ -486,11 +486,12 @@ void Service::process(Job job, std::size_t worker) {
   }
 
   // The express lane: below the Adaptive floor the route is the sequential
-  // sweep with or without dispatch, so run it inline — no registry walk,
-  // no BackendFn indirection, no thread lease, shared binarized tree for
-  // cover + verdicts, all scratch from this worker's arena. The instance
-  // is borrowed, never moved: it (and the canonical form the cache key
-  // views) must stay alive through the canonical-space store below.
+  // sweep with or without dispatch, so run the solve kernel inline — no
+  // registry walk, no thread lease, all scratch from this worker's arena.
+  // Above the floor the leased Solver::solve runs the same kernel whenever
+  // Adaptive routes to the sweep. The instance is borrowed, never moved:
+  // it (and the canonical form the cache key views) must stay alive
+  // through the canonical-space store below.
   const bool express =
       opts_.use_express && service::express_eligible(n, opts);
   const auto solve_once = [&]() -> SolveResult {

@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "copath.hpp"
@@ -129,34 +131,56 @@ std::vector<Backend> cancel_backends() {
           Backend::Adaptive};
 }
 
+/// (backend, instance) pairs for the up-front refusal tests: every backend
+/// on `small`, plus the host-sweep backends on `big`, an instance at the
+/// Adaptive floor — where Solver runs the sequential kernel inline instead
+/// of a registry engine, and must still refuse before any work.
+std::vector<std::pair<Backend, const Cotree*>> refusal_cases(
+    const Cotree& small, const Cotree& big) {
+  std::vector<std::pair<Backend, const Cotree*>> cases;
+  for (const Backend b : cancel_backends()) cases.emplace_back(b, &small);
+  for (const Backend b : {Backend::Sequential, Backend::Adaptive}) {
+    cases.emplace_back(b, &big);
+  }
+  return cases;
+}
+
 TEST(CancelSolve, PreTrippedTokenAnswersCancelledNotAThrow) {
-  const Cotree t = testing::random_cotree(300, 4242);
-  for (Backend b : cancel_backends()) {
+  const Cotree small = testing::random_cotree(300, 4242);
+  const Cotree big =
+      testing::random_cotree(core::CostModel::calibrated().min_native_n, 4244);
+  for (const auto& [b, t] : refusal_cases(small, big)) {
     util::CancelToken tok;
     tok.cancel(util::CancelToken::Reason::kCancelled);
     SolveOptions opts;
     opts.backend = b;
     opts.cancel = &tok;
     const Solver solver(opts);
-    const SolveResult res = solver.solve(Instance::view(t));
-    EXPECT_FALSE(res.ok) << core::to_string(b);
-    EXPECT_EQ(res.error, util::kCancelledMsg) << core::to_string(b);
+    const SolveResult res = solver.solve(Instance::view(*t));
+    const std::string what = std::string(core::to_string(b)) +
+                             " n=" + std::to_string(t->vertex_count());
+    EXPECT_FALSE(res.ok) << what;
+    EXPECT_EQ(res.error, util::kCancelledMsg) << what;
   }
 }
 
 TEST(CancelSolve, ExpiredDeadlineAnswersDeadlineExceeded) {
-  const Cotree t = testing::random_cotree(300, 4243);
-  for (Backend b : cancel_backends()) {
+  const Cotree small = testing::random_cotree(300, 4243);
+  const Cotree big =
+      testing::random_cotree(core::CostModel::calibrated().min_native_n, 4245);
+  for (const auto& [b, t] : refusal_cases(small, big)) {
     util::CancelToken tok;
     tok.set_deadline(1);  // long past; first checkpoint self-trips
     SolveOptions opts;
     opts.backend = b;
     opts.cancel = &tok;
     const Solver solver(opts);
-    const SolveResult res = solver.solve(Instance::view(t));
-    EXPECT_FALSE(res.ok) << core::to_string(b);
-    EXPECT_EQ(res.error, util::kDeadlineMsg) << core::to_string(b);
-    EXPECT_EQ(tok.reason(), util::CancelToken::Reason::kDeadline);
+    const SolveResult res = solver.solve(Instance::view(*t));
+    const std::string what = std::string(core::to_string(b)) +
+                             " n=" + std::to_string(t->vertex_count());
+    EXPECT_FALSE(res.ok) << what;
+    EXPECT_EQ(res.error, util::kDeadlineMsg) << what;
+    EXPECT_EQ(tok.reason(), util::CancelToken::Reason::kDeadline) << what;
   }
 }
 

@@ -407,6 +407,43 @@ TEST(ExpressLane, ServiceDifferentialWithExpressDisabled) {
   }
 }
 
+// ------------------------------------------------- the sequential kernel
+
+TEST(SolveKernel, SolverHostSweepBinarizesOnce) {
+  // A warm Solver::solve on the host-sweep route must draw exactly the
+  // arena buffers of one kernel call: one binarization shared by the
+  // cover and every verdict. A second binarization (a verdict helper
+  // re-deriving the tree) adds a whole binarize + leftist set of acquires.
+  exec::Arena& arena = exec::Arena::for_this_thread();
+  const std::size_t floor_n = core::CostModel::calibrated().min_native_n;
+  for (const auto& [backend, n] :
+       {std::pair{Backend::Sequential, std::size_t{300}},
+        std::pair{Backend::Sequential, floor_n},
+        std::pair{Backend::Adaptive, floor_n}}) {
+    const std::string what =
+        std::string(core::to_string(backend)) + " n=" + std::to_string(n);
+    const Cotree t = testing::random_cotree(n, 5150 + n);
+    SolveOptions opts;
+    opts.backend = backend;
+    const Solver solver(opts);
+    ASSERT_TRUE(solver.solve(Instance::view(t)).ok) << what;  // warm-up
+
+    std::uint64_t before = arena.stats().acquires;
+    const SolveResult via_solver = solver.solve(Instance::view(t));
+    const std::uint64_t solver_acquires = arena.stats().acquires - before;
+    before = arena.stats().acquires;
+    const SolveResult direct = service::solve_sweep(t, {}, opts, arena);
+    const std::uint64_t kernel_acquires = arena.stats().acquires - before;
+
+    ASSERT_TRUE(via_solver.ok) << what << ": " << via_solver.error;
+    ASSERT_TRUE(direct.ok) << what;
+    EXPECT_GT(kernel_acquires, 0u) << what;
+    EXPECT_EQ(solver_acquires, kernel_acquires) << what;
+    EXPECT_EQ(via_solver.routed, Backend::Sequential) << what;
+    expect_equal_results(via_solver, direct, what);
+  }
+}
+
 // ------------------------------------------- whole-request allocation budget
 
 /// The zero-allocation steady state, end to end: after warm-up, repeated

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "copath.hpp"
@@ -306,6 +308,116 @@ TEST(Service, PermutedAndRelabeledTwinsHitTheCacheAndStaySound) {
     EXPECT_TRUE(report.ok) << i << ": " << report.error;
   }
   EXPECT_GE(svc.stats().cache_hits, expected_hits);
+}
+
+/// The fields a default (Adaptive) Service answer shares with a direct
+/// Backend::Sequential solve, plus the Adaptive routing metadata.
+void expect_sequential_answer(const SolveResult& got, const SolveResult& want,
+                              const std::string& what) {
+  ASSERT_TRUE(got.ok) << what << ": " << got.error;
+  EXPECT_EQ(got.backend, Backend::Adaptive) << what;
+  EXPECT_EQ(got.routed, Backend::Sequential) << what;
+  EXPECT_EQ(got.vertex_count, want.vertex_count) << what;
+  EXPECT_EQ(got.cover.paths, want.cover.paths) << what;
+  EXPECT_EQ(got.optimal_size, want.optimal_size) << what;
+  EXPECT_EQ(got.minimum, want.minimum) << what;
+  EXPECT_EQ(got.hamiltonian_path, want.hamiltonian_path) << what;
+  EXPECT_EQ(got.hamiltonian_cycle, want.hamiltonian_cycle) << what;
+}
+
+/// An isomorphic twin of `t` with every child list shuffled, numbered in
+/// the shuffled DFS order through Cotree::from_parts, so vertex labels move
+/// with the shuffle. Iterative: testing::random_twin goes through the
+/// recursive CotreeBuilder, too deep for a caterpillar at the floor.
+Cotree shuffled_twin(const Cotree& t, util::Rng& rng) {
+  std::vector<cograph::NodeKind> kind;
+  std::vector<cograph::NodeId> parent;
+  kind.reserve(t.size());
+  parent.reserve(t.size());
+  // (original node, its parent's new id); preorder ids keep every child
+  // list in its shuffled order.
+  std::vector<std::pair<cograph::NodeId, cograph::NodeId>> stack{
+      {t.root(), cograph::kNull}};
+  while (!stack.empty()) {
+    const auto [v, p] = stack.back();
+    stack.pop_back();
+    const auto id = static_cast<cograph::NodeId>(kind.size());
+    kind.push_back(t.kind(v));
+    parent.push_back(p);
+    if (t.is_leaf(v)) continue;
+    std::vector<cograph::NodeId> kids(t.children(v).begin(),
+                                      t.children(v).end());
+    for (std::size_t i = kids.size(); i-- > 1;) {
+      std::swap(kids[i], kids[rng.below(i + 1)]);
+    }
+    for (std::size_t i = kids.size(); i-- > 0;) stack.emplace_back(kids[i], id);
+  }
+  return Cotree::from_parts(std::move(kind), std::move(parent), 0);
+}
+
+TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
+  // At and above the Adaptive floor the Service skips the express lane and
+  // solves under a thread lease through Solver::solve, which runs the
+  // sequential kernel whenever the cost model routes to the host sweep.
+  // Every answer must match a direct Backend::Sequential solve — with the
+  // cache off, on a cold cache miss, and on a warm hit replayed to a
+  // permuted twin — and every above-floor miss claims exactly one lease.
+  const std::size_t floor_n = core::CostModel::calibrated().min_native_n;
+  const Solver sequential;  // Backend::Sequential defaults
+  util::Rng rng(1414);
+  for (const std::size_t n : {floor_n, floor_n + 1, 2 * floor_n}) {
+    std::vector<Cotree> shapes;
+    shapes.push_back(testing::random_cotree(n, 14000 + n));
+    shapes.push_back(cograph::caterpillar(n));
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      const Cotree& t = shapes[s];
+      const Cotree twin = shuffled_twin(t, rng);
+      const std::string what =
+          "n=" + std::to_string(n) + " shape " + std::to_string(s);
+      const Instance base = Instance::view(t);
+      const Instance twin_inst = Instance::view(twin);
+      const SolveResult want = sequential.solve(base);
+      ASSERT_TRUE(want.ok) << what << ": " << want.error;
+
+      {
+        Service::Options sopts;
+        sopts.workers = 2;
+        sopts.use_cache = false;
+        Service svc(sopts);
+        const SolveResult got =
+            svc.submit(SolveRequest{base, {}, "off"}).get();
+        expect_sequential_answer(got, want, what + " cache off");
+        EXPECT_EQ(svc.stats().lease_acquires, 1u) << what;
+        EXPECT_EQ(svc.stats().express_solves, 0u) << what;
+      }
+
+      Service::Options sopts;
+      sopts.workers = 2;
+      Service svc(sopts);
+      const SolveResult cold =
+          svc.submit(SolveRequest{base, {}, "cold"}).get();
+      expect_sequential_answer(cold, want, what + " cold");
+      EXPECT_EQ(svc.stats().lease_acquires, 1u) << what;
+
+      // The twin hits the cache: the stored canonical-space answer replayed
+      // through the twin's own permutation, with no second lease.
+      const SolveResult warm =
+          svc.submit(SolveRequest{twin_inst, {}, "warm"}).get();
+      const SolveResult replayed = service::remapped_from_canonical(
+          service::to_canonical_space(want, base.canonical()),
+          twin_inst.canonical());
+      expect_sequential_answer(warm, replayed, what + " warm twin");
+      EXPECT_EQ(warm.optimal_size, want.optimal_size) << what;
+      EXPECT_TRUE(validate_path_cover(twin, warm.cover,
+                                      /*require_minimum=*/true)
+                      .ok)
+          << what;
+      const auto stats = svc.stats();
+      EXPECT_EQ(stats.lease_acquires, 1u) << what;
+      EXPECT_EQ(stats.cache_hits, 1u) << what;
+      EXPECT_EQ(stats.express_solves, 0u) << what;
+    }
+  }
 }
 
 TEST(Service, ConcurrentIdenticalRequestsComputeOnce) {
