@@ -1,19 +1,16 @@
-// E11 — Backend::Adaptive: the cost-model dispatch engine against both of
-// its routes on identical inputs.
-//
-// Claim: Adaptive is never (materially) slower than the better of
-// {Sequential, Native} at any size — it IS the better engine plus a
-// constant-time routing decision — and it beats raw Native wherever the
-// sequential sweep wins (which, single-socket, is everywhere the sweep
-// fits in memory: the pipeline pays a ~10-20x work constant for its
-// parallel structure). The sweep drives n = 2^8 .. 2^20 over the random
-// and caterpillar families; DESIGN.md §7 records the crossover points.
+// E11 — the host sweep (Backend::Sequential, which Backend::Adaptive
+// aliases) against the native parallel pipeline (Backend::Native,
+// hardware workers) on identical inputs: the measurement behind serving
+// every host request with the sweep and routing nothing to Native
+// (DESIGN.md §7.3). The sweep drives n = 2^8 .. 2^20 over the random and
+// caterpillar families.
 //
 // Modes:
 //   --json    write BENCH_adaptive.json (the perf-trajectory record)
-//   --smoke   small-n regression gate: exit 1 if Adaptive is more than
-//             10% slower than the better of {Sequential, Native} at any
-//             swept size (CI runs this in Release)
+//   --smoke   small-n decision gate: exit 1 if Native is more than 10%
+//             faster than Sequential at any swept size — the signal that
+//             routing work to Native would pay on this host and the
+//             decision should be revisited (CI runs this in Release)
 //
 // Plain main — no google-benchmark dependency, so the smoke gate builds
 // everywhere the library does.
@@ -45,32 +42,23 @@ Cotree make_instance(const char* family, std::size_t n, unsigned seed) {
   return cograph::random_cotree(n, gopt);
 }
 
-struct Sample {
-  double wall_ms = 0.0;
-  Backend routed = Backend::Sequential;
-};
-
-/// Best-of-reps engine time (res.wall_ms times the backend run alone).
-Sample time_solve(const Cotree& t, Backend b, int reps) {
+/// Best-of-reps engine time in ms (res.wall_ms times the backend run
+/// alone).
+double time_solve(const Cotree& t, Backend b, int reps) {
   const Solver solver(engine_options(b));
-  Sample best;
-  best.wall_ms = 1e300;
+  double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto res = bench::require_ok(solver.solve(Instance::view(t)));
-    if (res.wall_ms < best.wall_ms) {
-      best.wall_ms = res.wall_ms;
-      best.routed = res.routed;
-    }
+    best = std::min(best, res.wall_ms);
   }
   return best;
 }
 
-/// One (family, n) cell across the three engines. Every engine's timing
-/// block is preceded by one untimed sequential solve so all three start
-/// from the same cache state (without it, whichever engine runs after
-/// Native inherits a trashed LLC and reads ~1.3x slower — an artifact,
-/// not a cost). Returns the Adaptive / best-of-{Seq, Native} ratio for
-/// the smoke gate.
+/// One (family, n) cell across the two engines. Each engine's timing
+/// block is preceded by one untimed sequential solve so both start from
+/// the same cache state (without it, whichever engine runs after Native
+/// inherits a trashed LLC and reads ~1.3x slower — an artifact, not a
+/// cost). Returns Sequential / best-of-{Seq, Native} for the smoke gate.
 double sweep_cell(util::Table& table, const char* family, std::size_t n,
                   int reps) {
   const Cotree t = make_instance(family, n, 11000 + static_cast<unsigned>(n));
@@ -79,46 +67,39 @@ double sweep_cell(util::Table& table, const char* family, std::size_t n,
     (void)bench::require_ok(warm_solver.solve(Instance::view(t)));
     return time_solve(t, b, reps);
   };
-  // Adaptive is measured first: clock drift (thermal throttle, VM steal)
-  // over the cell then works *against* it, so the vs_best ratio is
+  // Sequential is measured first: clock drift (thermal throttle, VM
+  // steal) over the cell then works *against* it, so the ratio is
   // conservative.
-  const Sample ada = timed(Backend::Adaptive);
-  const Sample seq = timed(Backend::Sequential);
-  const Sample nat = timed(Backend::Native);
-  const double best = std::min(seq.wall_ms, nat.wall_ms);
-  const double ratio = ada.wall_ms / best;
-  const auto row = [&](const char* engine, const Sample& s,
-                       const char* routed) {
+  const double seq = timed(Backend::Sequential);
+  const double nat = timed(Backend::Native);
+  const double best = std::min(seq, nat);
+  const auto row = [&](const char* engine, double ms) {
     table.row({util::Table::S(family),
                util::Table::I(static_cast<long long>(n)),
-               util::Table::S(engine), util::Table::F(s.wall_ms),
-               util::Table::F(best / s.wall_ms), util::Table::S(routed)});
+               util::Table::S(engine), util::Table::F(ms),
+               util::Table::F(best / ms)});
     if (g_json != nullptr) {
       g_json->row("solve",
                   {{"n", static_cast<double>(n)},
-                   {"wall_ms", s.wall_ms},
-                   {"vs_best", s.wall_ms / best}},
-                  {{"engine", engine},
-                   {"family", family},
-                   {"routed", routed}});
+                   {"wall_ms", ms},
+                   {"vs_best", ms / best}},
+                  {{"engine", engine}, {"family", family}});
     }
   };
-  row("sequential", seq, "sequential");
-  row("native", nat, "native");
-  row("adaptive", ada, core::to_string(ada.routed));
-  return ratio;
+  row("sequential", seq);
+  row("native", nat);
+  return seq / best;
 }
 
 int solve_sweep(bool smoke) {
   bench::banner(
-      smoke ? "E11-smoke: Adaptive never loses at small n"
-            : "E11a: Adaptive vs its routes, n = 2^8 .. 2^20",
-      "Identical instances through Backend::Sequential, Backend::Native "
-      "(hardware workers) and Backend::Adaptive. vs_best is the engine's "
-      "time over the better of the two fixed engines; Adaptive's bar is "
-      "<= 1.1 at every size.");
-  util::Table table({"family", "n", "engine", "wall_ms", "best_speedup",
-                     "routed"});
+      smoke ? "E11-smoke: Native never beats the sweep at small n"
+            : "E11a: Sequential vs Native, n = 2^8 .. 2^20",
+      "Identical instances through Backend::Sequential and Backend::Native "
+      "(hardware workers). vs_best is the engine's time over the better of "
+      "the two; the gate fails if Native is more than 10% faster than "
+      "Sequential (Sequential's vs_best > 1.1) at any size.");
+  util::Table table({"family", "n", "engine", "wall_ms", "best_speedup"});
   const std::vector<std::size_t> lgs =
       smoke ? std::vector<std::size_t>{8, 9, 10, 11, 12}
             : std::vector<std::size_t>{8, 10, 12, 14, 16, 18, 20};
@@ -129,20 +110,21 @@ int solve_sweep(bool smoke) {
       const int reps = n <= (1u << 12) ? 15 : (n <= (1u << 16) ? 5 : 2);
       const double ratio = sweep_cell(table, family, n, reps);
       // 10% relative headroom plus a 50us absolute floor on the retry:
-      // at microsecond scales scheduler jitter exceeds any real routing
-      // overhead (the decision itself is two multiplies), so a first-pass
-      // miss re-measures with more repetitions before failing the gate.
+      // at microsecond scales scheduler jitter exceeds any real gap, so a
+      // first-pass miss re-measures with more repetitions before failing
+      // the gate.
       if (smoke && ratio > 1.10) {
         const Cotree t =
             make_instance(family, n, 11000 + static_cast<unsigned>(n));
+        const double seq = time_solve(t, Backend::Sequential, 9);
         const double best =
-            std::min(time_solve(t, Backend::Sequential, 9).wall_ms,
-                     time_solve(t, Backend::Native, 9).wall_ms);
-        const double ada = time_solve(t, Backend::Adaptive, 9).wall_ms;
-        if (ada > best * 1.10 + 0.05) {
-          std::cerr << "SMOKE VIOLATION: adaptive " << ada << " ms > 1.1x "
-                    << best << " ms (best fixed engine) at " << family
-                    << " n=" << n << "\n";
+            std::min(seq, time_solve(t, Backend::Native, 9));
+        if (seq > best * 1.10 + 0.05) {
+          std::cerr << "SMOKE VIOLATION: sequential " << seq
+                    << " ms > 1.1x native " << best << " ms at " << family
+                    << " n=" << n
+                    << " — routing to Native would pay; revisit "
+                       "DESIGN.md §7.3\n";
           ++violations;
         }
       }
@@ -156,9 +138,9 @@ int solve_sweep(bool smoke) {
 void batch_table() {
   bench::banner(
       "E11b: solve_batch throughput at the paper's serving size",
-      "64 instances of n = 4096 through Solver::solve_batch. The "
-      "acceptance bar: Adaptive >= 5x Native instances/second (the cost "
-      "model routes a pressured batch to the sequential sweep).");
+      "64 instances of n = 4096 through Solver::solve_batch: the fused "
+      "host-sweep lane (Sequential) against one Native instance per pool "
+      "worker.");
   std::vector<Cotree> keep;
   keep.reserve(64);
   for (unsigned i = 0; i < 64; ++i) {
@@ -171,8 +153,7 @@ void batch_table() {
     reqs[i].instance = Instance::view(keep[i]);
   }
   util::Table t({"engine", "total_ms", "inst_per_s"});
-  for (const Backend b :
-       {Backend::Sequential, Backend::Native, Backend::Adaptive}) {
+  for (const Backend b : {Backend::Sequential, Backend::Native}) {
     Solver solver(engine_options(b));
     double ms = 1e300;  // best of three rounds (round 1 warms pools/arenas)
     for (int round = 0; round < 3; ++round) {
@@ -197,36 +178,6 @@ void batch_table() {
   std::cout << std::endl;
 }
 
-void crossover_table() {
-  bench::banner(
-      "E11c: cost-model crossover map",
-      "Worker counts where the calibrated model predicts the native "
-      "pipeline overtakes the sequential sweep (the routing surface; "
-      "measured slopes, DESIGN.md §7).");
-  const auto& model = core::CostModel::calibrated();
-  util::Table t({"n", "crossover_workers"});
-  for (const std::size_t lg : {14u, 16u, 18u, 20u}) {
-    const std::size_t n = std::size_t{1} << lg;
-    std::size_t cross = 0;
-    for (std::size_t w = 1; w <= 4096; ++w) {
-      if (model.choose(n, n / 2, w) == Backend::Native) {
-        cross = w;
-        break;
-      }
-    }
-    t.row({util::Table::I(static_cast<long long>(n)),
-           cross == 0 ? util::Table::S("> 4096")
-                      : util::Table::I(static_cast<long long>(cross))});
-    if (g_json != nullptr) {
-      g_json->row("crossover",
-                  {{"n", static_cast<double>(n)},
-                   {"workers", static_cast<double>(cross)}});
-    }
-  }
-  t.print(std::cout);
-  std::cout << std::endl;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,10 +188,7 @@ int main(int argc, char** argv) {
   bench::JsonReport json(&argc, argv, "adaptive");
   g_json = &json;
   const int violations = solve_sweep(smoke);
-  if (!smoke) {
-    batch_table();
-    crossover_table();
-  }
+  if (!smoke) batch_table();
   json.write();
   if (violations > 0) {
     std::cerr << violations << " smoke violation(s)\n";

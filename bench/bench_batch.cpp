@@ -3,11 +3,10 @@
 //
 // Claim (ISSUE 7 acceptance): batch throughput >= 3x independent-submit
 // throughput at batch sizes n <= 256 on the duplicate-heavy mix. The
-// fused path wins three ways at once — one queue slot and one future for
-// the whole batch instead of n of each, one ThreadBudgeter lease instead
-// of n acquire/release rounds, and within-batch dedup that collapses
-// every duplicate and permuted twin onto one packed solve — so the edge
-// is largest exactly where per-request overhead dominates: small
+// fused path wins two ways at once — one queue slot and one future for
+// the whole batch instead of n of each, and within-batch dedup that
+// collapses every duplicate and permuted twin onto one kernel solve — so
+// the edge is largest exactly where per-request overhead dominates: small
 // instances, small-to-medium batches.
 //
 // Both paths run against their own long-lived Service (same options,
@@ -45,8 +44,8 @@ namespace proto = net::protocol;
 
 bench::JsonReport* g_json = nullptr;
 
-/// Instance size for every batch member: comfortably express-eligible, so
-/// the packed sweep (not the routing boundary) is what gets measured.
+/// Instance size for every batch member: small, so per-request overhead
+/// (what the fused path removes) dominates the solve.
 constexpr std::size_t kVertices = 24;
 
 std::vector<std::string> make_texts(std::size_t unique, unsigned seed) {

@@ -49,12 +49,13 @@ Cotree make_instance(const char* family, std::size_t n, unsigned seed) {
   return cograph::random_cotree(n, gopt);
 }
 
-/// Serving-shaped options: the Service default (Adaptive + verdicts).
-SolveOptions serving_options() {
-  SolveOptions opts;
-  opts.backend = Backend::Adaptive;
-  return opts;
-}
+/// Serving-shaped options: the Service default (Sequential + verdicts).
+SolveOptions serving_options() { return SolveOptions{}; }
+
+/// Where the legacy request path left its inline sequential route: from
+/// this size on it took the generic dispatch, so the legacy reconstruction
+/// times Solver::solve there.
+constexpr std::size_t kLegacyGenericFrom = std::size_t{1} << 14;
 
 // ----------------------------------------------------------------- keys
 
@@ -91,9 +92,9 @@ using LegacyStore =
 /// PR 4 cold request, the full service miss anatomy: recursive-descent
 /// parse, vector-scratch canonicalization, string key build + probe, the
 /// verbatim PR 4 sequential solve + verdict sweeps (one fresh binarize
-/// each), canonical-space copy, store. Above the Adaptive floor the old
-/// route was not sequential, so the caller skips those sizes for legacy
-/// timing fairness (the sweep only claims n <= 4096 anyway).
+/// each), canonical-space copy, store. Above kLegacyGenericFrom the old
+/// route was not this one, so the caller times legacy_generic_cold_ms
+/// there instead (the sweep only claims n <= 4096 anyway).
 double legacy_cold_ms(const std::string& text, const SolveOptions& opts,
                       LegacyStore& store, int reps) {
   double best = 1e300;
@@ -111,9 +112,9 @@ double legacy_cold_ms(const std::string& text, const SolveOptions& opts,
   return best;
 }
 
-/// Large-n legacy cold request: above the Adaptive floor the old route
-/// was the same registry dispatch still in the tree, so time that (the
-/// parse + canonicalization remain the PR 4 reconstructions).
+/// Large-n legacy cold request: above kLegacyGenericFrom the old route
+/// was Solver::solve's dispatch, so time Solver::solve (the parse and
+/// canonicalization remain the legacy reconstructions).
 double legacy_generic_cold_ms(const std::string& text,
                               const SolveOptions& opts,
                               const Solver& solver, LegacyStore& store,
@@ -137,13 +138,10 @@ double legacy_generic_cold_ms(const std::string& text,
 /// PR 5 cold request, same anatomy through the new front end: iterative
 /// SoA parse inside Instance resolution, arena-scratch canonicalization
 /// (binary signature emitted in the same walk), borrowed key + memcmp
-/// probe, then whatever a Service worker runs — the express-lane inline
-/// solve below the Adaptive floor, generic dispatch above it — and the
-/// canonical-space store.
-double new_cold_ms(const std::string& text, std::size_t n,
-                   const SolveOptions& opts, const Solver& solver,
+/// probe, then what a Service worker runs — the express-lane inline
+/// solve — and the canonical-space store.
+double new_cold_ms(const std::string& text, const SolveOptions& opts,
                    service::ResultCache& cache, int reps) {
-  const bool express = service::express_eligible(n, opts);
   exec::Arena& arena = exec::Arena::for_this_thread();
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -152,9 +150,7 @@ double new_cold_ms(const std::string& text, std::size_t n,
     const auto& form = inst.canonical();
     const service::CacheKeyRef key = service::make_cache_key(form, opts);
     (void)cache.lookup(key);  // the miss probe
-    const SolveResult res =
-        express ? service::solve_express(inst, {}, opts, arena)
-                : solver.solve(inst);
+    const SolveResult res = service::solve_express(inst, {}, opts, arena);
     bench::require_ok(res);
     cache.insert(key, std::make_shared<const SolveResult>(
                           service::to_canonical_space(res, form)));
@@ -272,12 +268,11 @@ void frontend_sweep(bool smoke, GateStats& gate) {
       // Cold. Interleave-fair: legacy first, then new (any thermal drift
       // across the cell biases against the new path).
       const double cold_legacy =
-          n <= core::CostModel::calibrated().min_native_n
+          n <= kLegacyGenericFrom
               ? legacy_cold_ms(text, opts, legacy_store, reps)
               : legacy_generic_cold_ms(text, opts, legacy_solver,
                                        legacy_store, reps);
-      const double cold_new =
-          new_cold_ms(text, n, opts, legacy_solver, cache, reps);
+      const double cold_new = new_cold_ms(text, opts, cache, reps);
 
       const double warm_legacy =
           legacy_warm_ms(text, opts, legacy_store, reps);
@@ -315,7 +310,7 @@ void frontend_sweep(bool smoke, GateStats& gate) {
         if (cold_bad || warm_bad) {
           const double c2 =
               legacy_cold_ms(text, opts, legacy_store, 3 * reps) /
-              new_cold_ms(text, n, opts, legacy_solver, cache, 3 * reps);
+              new_cold_ms(text, opts, cache, 3 * reps);
           const double w2 =
               legacy_warm_ms(text, opts, legacy_store, 3 * reps) /
               new_warm_ms(text, opts, cache, 3 * reps);

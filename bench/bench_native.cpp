@@ -114,7 +114,7 @@ void batch_table() {
   bench::banner(
       "E9c: solve_batch throughput — native vs simulator engines",
       "64 instances of n = 4096 through Solver::solve_batch (shared pool, "
-      "per-request thread budget). Instances/second is the service-level "
+      "one instance per worker). Instances/second is the service-level "
       "number the exec split buys.");
   std::vector<Cotree> keep;
   keep.reserve(64);

@@ -28,8 +28,7 @@ void BinarizedCotree::validate() const {
 
 /// The single binarization implementation (worklists from `arena`);
 /// returns the root id. Node numbering is deterministic in `t` alone, so
-/// vector-backed, arena-backed, and slab-packed callers produce identical
-/// trees.
+/// vector-backed and arena-backed callers produce identical trees.
 ///
 /// Id invariant the downstream sweeps rely on: ids are assigned in
 /// creation order and every comb node is created after both its children,

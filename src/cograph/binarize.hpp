@@ -69,9 +69,7 @@ struct BinView {
 
 /// Mutable output surface of the binarizer: every span pre-sized by the
 /// caller (2L-1 nodes, L vertices). binarize_into writes every slot, so the
-/// storage needs no pre-fill. The packed batch path (service/batch.cpp)
-/// points these at slices of one exec::Slab so a whole batch of binarized
-/// trees shares one allocation.
+/// storage needs no pre-fill.
 struct BinSpans {
   std::span<std::int32_t> parent, left, right;
   std::span<std::uint8_t> is_join;

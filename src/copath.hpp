@@ -16,8 +16,8 @@
 //                                                       cache (binary
 //                                                       signature keys),
 //                                                       duplicate
-//                                                       coalescing, a
-//                                                       small-instance
+//                                                       coalescing, an
+//                                                       inline sweep
 //                                                       express lane, and
 //                                                       bounded
 //                                                       backpressure
@@ -50,7 +50,6 @@
 #include "cograph/graph.hpp"
 #include "cograph/recognition.hpp"
 #include "copath_solver.hpp"
-#include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "core/brackets.hpp"
 #include "core/count.hpp"

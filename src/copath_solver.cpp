@@ -1,17 +1,14 @@
 #include "copath_solver.hpp"
 
-#include <atomic>
 #include <sstream>
 #include <utility>
 
 #include "cograph/binarize.hpp"
-#include "core/adaptive.hpp"
 #include "core/count.hpp"
 #include "exec/arena.hpp"
 #include "service/batch.hpp"
 #include "service/express.hpp"
 #include "util/check.hpp"
-#include "util/thread_budget.hpp"
 #include "util/timer.hpp"
 
 namespace copath {
@@ -64,17 +61,14 @@ const cograph::Cotree& Instance::resolve() const {
     return *owned;
   }
   COPATH_CHECK_MSG(cache_ != nullptr, "empty Instance passed to Solver");
-  // call_once makes the first resolution of a shared Instance race-free; a
-  // throwing resolution leaves the flag unset, so the error repeats on
-  // every attempt instead of poisoning later calls.
-  std::call_once(cache_->once, [this] {
+  // The first resolution of a shared Instance runs once; a throwing one is
+  // memoized too, so the same error repeats on every attempt.
+  return cache_->get([this]() -> cograph::Cotree {
     if (const auto* algebra = std::get_if<std::string>(&source_)) {
-      cache_->tree = cograph::Cotree::parse(*algebra);
-      return;
+      return cograph::Cotree::parse(*algebra);
     }
     if (const auto* sig = std::get_if<SignatureBytes>(&source_)) {
-      cache_->tree = cograph::decode_signature(sig->bytes).tree;
-      return;
+      return cograph::decode_signature(sig->bytes).tree;
     }
     const auto& g = std::get<cograph::Graph>(source_);
     auto rec = cograph::recognize_cograph(g);
@@ -84,31 +78,27 @@ const cograph::Cotree& Instance::resolve() const {
       for (const auto v : rec.p4_witness) os << ' ' << v;
       COPATH_CHECK_MSG(false, os.str());
     }
-    cache_->tree = std::move(*rec.cotree);
+    return std::move(*rec.cotree);
   });
-  return *cache_->tree;
 }
 
 const cograph::CanonicalForm& Instance::canonical() const {
   COPATH_CHECK_MSG(canon_ != nullptr, "empty Instance has no canonical form");
   // Same discipline as resolve(): a throwing canonicalization (really: a
-  // throwing resolve) leaves the flag unset so the error repeats.
+  // throwing resolve) is memoized, so the error repeats.
   // The hot serving path: the cache keys on the binary signature, so the
   // human-facing algebra key is skipped (CanonicalForm::key stays empty).
-  std::call_once(canon_->once, [this] {
+  return canon_->get([this]() -> cograph::CanonicalForm {
     // A signature-sourced instance gets its canonical form straight from
     // the bytes (identity permutations, hash folded during the validating
     // walk) WITHOUT materializing the cotree: the daemon's warm path
     // replays cache hits through the form alone, so the tree build is
     // deferred to resolve() — i.e. to the miss path that actually solves.
     if (const auto* sig = std::get_if<SignatureBytes>(&source_)) {
-      canon_->form = cograph::decode_signature_form(sig->bytes);
-      return;
+      return cograph::decode_signature_form(sig->bytes);
     }
-    canon_->form =
-        cograph::canonical_form(resolve(), /*with_algebra_key=*/false);
+    return cograph::canonical_form(resolve(), /*with_algebra_key=*/false);
   });
-  return *canon_->form;
 }
 
 // ------------------------------------------------------------------ Solver
@@ -126,10 +116,7 @@ SolveResult Solver::solve_with(const Instance& inst,
     // The host-sweep route runs the sequential solve kernel inline (one
     // binarization for cover and verdicts). The sweep has no internal
     // checkpoints, so cancel is honored once, up front.
-    if (opts.backend == Backend::Sequential ||
-        (opts.backend == Backend::Adaptive &&
-         core::adaptive_route(t, opts.cost_model, opts.workers) ==
-             Backend::Sequential)) {
+    if (core::is_host_sweep(opts.backend)) {
       if (opts.cancel != nullptr) opts.cancel->checkpoint();
       return service::solve_sweep(t, label, opts,
                                   exec::Arena::for_this_thread());
@@ -141,7 +128,6 @@ SolveResult Solver::solve_with(const Instance& inst,
     cfg.policy = opts.policy;
     cfg.pipeline = opts.pipeline;
     cfg.collect_trace = opts.collect_trace;
-    cfg.cost_model = opts.cost_model;
     cfg.cancel = opts.cancel;
 
     SolveResult res;
@@ -151,7 +137,7 @@ SolveResult Solver::solve_with(const Instance& inst,
     core::BackendOutput out = entry->fn(t, cfg);
     res.wall_ms = timer.millis();
 
-    res.routed = out.routed.value_or(opts.backend);
+    res.routed = opts.backend;
     res.vertex_count = t.vertex_count();
     res.cover = std::move(out.cover);
     res.stats = out.stats;
@@ -196,85 +182,55 @@ std::vector<SolveResult> Solver::solve_batch(
     }
   });
 
-  // Route: express-eligible instances (below the Adaptive floor, or
-  // explicitly Sequential) go through the fused dedup+pack core on the
+  // Route: host-sweep instances go through the fused dedup core on the
   // calling thread — per-request fan-out overhead beats the actual solve
-  // down there, so one packed sweep wins over pool dispatch. Everything
-  // else (big instances, PRAM/native backends, unresolvable instances)
-  // keeps the budgeted pool path.
-  std::vector<std::size_t> small, big;
-  small.reserve(reqs.size());
+  // there. Everything else (PRAM/native backends, unresolvable instances)
+  // runs on the pool.
+  std::vector<std::size_t> sweep, pooled;
+  sweep.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const SolveOptions opts = reqs[i].options.value_or(defaults_);
-    bool resolved = false;
-    std::size_t n = 0;
+    bool resolved = true;
     try {
-      n = reqs[i].instance.resolve().vertex_count();
-      resolved = true;
+      (void)reqs[i].instance.resolve();
     } catch (...) {
+      resolved = false;
     }
-    if (resolved && service::express_eligible(n, opts)) {
-      small.push_back(i);
+    if (resolved &&
+        core::is_host_sweep(reqs[i].options.value_or(defaults_).backend)) {
+      sweep.push_back(i);
     } else {
-      big.push_back(i);
+      pooled.push_back(i);
     }
   }
 
-  if (!small.empty()) {
+  if (!sweep.empty()) {
     // IdenticalTree dedup only (no cache): exactly-identical resolved
     // trees share one sweep and identity-copied results — bitwise-equal
     // to solving each directly. Permuted twins are NOT grouped here; their
     // direct solves may produce different, equally-minimum covers
     // (service/batch.hpp).
     std::vector<SolveRequest> sreqs;
-    sreqs.reserve(small.size());
-    for (const std::size_t i : small) sreqs.push_back(reqs[i]);
+    sreqs.reserve(sweep.size());
+    for (const std::size_t i : sweep) sreqs.push_back(reqs[i]);
     service::BatchConfig cfg;
     cfg.dedup = service::BatchDedup::IdenticalTree;
-    cfg.cache = nullptr;
     const service::BatchFallback fb =
         [this](const SolveRequest& r, const SolveOptions& o) {
           return solve_with(r.instance, r.label, o);
         };
     auto sres = service::solve_batch_fused(sreqs, defaults_, cfg, fb,
                                            exec::Arena::for_this_thread());
-    for (std::size_t k = 0; k < small.size(); ++k) {
-      results[small[k]] = std::move(sres[k]);
+    for (std::size_t k = 0; k < sweep.size(); ++k) {
+      results[sweep[k]] = std::move(sres[k]);
     }
   }
-  if (big.empty()) return results;
 
-  // Nested-parallelism guard: with R requests sharing W pool workers, the
-  // native-capable requests divide the W threads through a budgeter —
-  // ceil-distributed so remainders go to the earliest starters, and
-  // rebalanced as requests complete so a straggler tail inherits the
-  // freed cores. Full batches run sequential-per-request (budget 1);
-  // small batches of big instances use every spare core.
-  const std::size_t pool_workers = pool_->workers();
-  util::ThreadBudgeter budgeter(pool_workers);
-  // Requests that have not yet claimed a budget: the divisor for each
-  // claim. Counting *unfinished* requests here would shrink every grant
-  // (finished requests already returned their claim through release) and
-  // re-strand the remainder the budgeter exists to distribute.
-  std::atomic<std::size_t> unclaimed{big.size()};
-  pool_->parallel_for(0, big.size(), [&](std::size_t bi) {
-    const std::size_t i = big[bi];
+  // One instance per pool worker: the per-instance machine runs inline.
+  pool_->parallel_for(0, pooled.size(), [&](std::size_t k) {
+    const std::size_t i = pooled[k];
     SolveOptions opts = reqs[i].options.value_or(defaults_);
-    if (core::may_use_native_threads(opts.backend)) {
-      const std::size_t peers = std::min(
-          unclaimed.fetch_sub(1, std::memory_order_relaxed), pool_workers);
-      const auto lease = budgeter.acquire(peers);
-      opts.workers = opts.workers == 0
-                         ? lease.threads
-                         : std::min(opts.workers, lease.threads);
-      results[i] = solve_with(reqs[i].instance, reqs[i].label, opts);
-      budgeter.release(lease);
-    } else {
-      // One instance per pool worker: the per-instance machine runs inline.
-      opts.workers = 1;
-      unclaimed.fetch_sub(1, std::memory_order_relaxed);
-      results[i] = solve_with(reqs[i].instance, reqs[i].label, opts);
-    }
+    opts.workers = 1;
+    results[i] = solve_with(reqs[i].instance, reqs[i].label, opts);
   });
   return results;
 }
@@ -319,10 +275,8 @@ CountResult Solver::count(const SolveRequest& req) const {
       // false, but the counters are handed back for inspection.
       res.stats = ex.stats();
     } else {
-      // Host post-order sweep — also Backend::Adaptive's counting route:
-      // the O(n) sweep beats the contraction machinery at every size a
-      // count-only request realistically has, so counting does not
-      // consult the cost model.
+      // Host post-order sweep (Sequential, its alias Adaptive, and every
+      // non-machine backend).
       p = core::path_counts_host(bc, leaf_count);
     }
     res.wall_ms = timer.millis();

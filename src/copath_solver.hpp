@@ -13,14 +13,19 @@
 //   auto res = solver.solve({copath::Instance::text("(* (+ a b) c)")});
 //   // res.cover, res.optimal_size, res.hamiltonian_path, ...
 //
-// Backends dispatch through core::BackendRegistry (core/backend.hpp), so
-// new engines plug in without touching callers. Solver::solve_batch fans a
-// span of requests over one lazily-created util::ThreadPool that is reused
-// across calls — the high-throughput entry point; per-instance machines run
-// inline on the pool's workers so thread setup is paid once per Solver, not
-// once per instance.
+// Host-sweep requests (Backend::Sequential and its alias Backend::Adaptive)
+// run the sequential solve kernel (service/express.hpp) inline; every
+// other backend dispatches through core::BackendRegistry
+// (core/backend.hpp), so new engines plug in without touching callers.
+// Solver::solve_batch runs host-sweep requests through the fused batch
+// core on the calling thread and fans the rest over one lazily-created
+// util::ThreadPool that is reused across calls; per-instance machines run
+// inline on the pool's workers so thread setup is paid once per Solver,
+// not once per instance.
 #pragma once
 
+#include <atomic>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -49,8 +54,9 @@ using core::Backend;
 /// A problem instance in whichever form the caller has it. Resolution to a
 /// cotree (parsing text / recognizing a graph) is lazy and cached — batch
 /// pipelines pay it exactly once per instance, copies share the cache, and
-/// the first resolution is std::call_once-guarded so sharing one Instance
-/// across threads is safe.
+/// the first resolution runs under a mutex so sharing one Instance across
+/// threads is safe. A failed resolution is cached too: every later call
+/// rethrows the same exception.
 class Instance {
  public:
   Instance() = default;
@@ -115,14 +121,35 @@ class Instance {
   struct SignatureBytes {
     std::string bytes;
   };
-  struct ResolveCache {
-    std::once_flag once;
-    std::optional<cograph::Cotree> tree;
+  /// A value computed once under a mutex, or the exception computing it
+  /// threw, which every later get() rethrows. (std::call_once would retry
+  /// after a throw, which GCC's TSan pthread_once interceptor cannot do.)
+  template <typename T>
+  struct Memo {
+    std::mutex mu;
+    std::atomic<bool> done{false};
+    std::optional<T> value;
+    std::exception_ptr error;
+
+    template <typename F>
+    const T& get(F&& compute) {
+      if (!done.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!done.load(std::memory_order_relaxed)) {
+          try {
+            value.emplace(compute());
+          } catch (...) {
+            error = std::current_exception();
+          }
+          done.store(true, std::memory_order_release);
+        }
+      }
+      if (error) std::rethrow_exception(error);
+      return *value;
+    }
   };
-  struct CanonCache {
-    std::once_flag once;
-    std::optional<cograph::CanonicalForm> form;
-  };
+  using ResolveCache = Memo<cograph::Cotree>;
+  using CanonCache = Memo<cograph::CanonicalForm>;
 
   std::variant<std::monostate, cograph::Cotree, std::string, cograph::Graph,
                const cograph::Cotree*, SignatureBytes>
@@ -140,8 +167,8 @@ class Instance {
 struct SolveOptions {
   Backend backend = Backend::Sequential;
   /// Physical worker threads for PRAM machines (1 = inline execution). For
-  /// Backend::Native, 0 selects hardware concurrency; inside solve_batch
-  /// the value is clamped to the per-request budget (see solve_batch).
+  /// Backend::Native, 0 selects hardware concurrency. solve_batch runs
+  /// every non-host-sweep request with 1 (see solve_batch).
   std::size_t workers = 1;
   /// Virtual processor budget; 0 = the paper's n / log2(n).
   std::size_t processors = 0;
@@ -151,9 +178,6 @@ struct SolveOptions {
   core::PipelineOptions pipeline{};
   /// Collect the per-stage PipelineTrace where supported.
   bool collect_trace = false;
-  /// Routing model for Backend::Adaptive (nullptr = the calibrated
-  /// process default). Must outlive every solve using these options.
-  const core::CostModel* cost_model = nullptr;
   /// Run the independent validator on the produced cover (minimality is
   /// required only for exact backends).
   bool validate = false;
@@ -208,9 +232,8 @@ struct SolveResult {
   std::string error;
   std::string label;
   Backend backend = Backend::Sequential;
-  /// The engine that actually ran: equal to `backend` except under
-  /// Backend::Adaptive, where it records the cost model's route
-  /// (Sequential or Native).
+  /// The engine that actually ran: equal to `backend`, except that
+  /// Backend::Adaptive answers report Sequential (the kernel they ran).
   Backend routed = Backend::Sequential;
 
   std::size_t vertex_count = 0;
@@ -279,19 +302,14 @@ class Solver {
     return solve_with(inst, label, opts);
   }
 
-  /// Solves every request, fanning instances across one shared
-  /// util::ThreadPool (created lazily, reused across calls). Results are
-  /// positionally aligned with `reqs` and identical to per-request solve()
-  /// up to wall-clock fields. Per-instance PRAM machines are forced to
-  /// inline execution (workers = 1) — parallelism comes from the batch.
-  /// Native-capable requests (Backend::Native and Backend::Adaptive's
-  /// native route) instead receive a per-request thread budget from a
-  /// util::ThreadBudgeter sized to the pool: remainders are distributed to
-  /// the earliest starters and budgets rebalance as requests complete, so
-  /// a straggler tail inherits the freed cores instead of stranding them.
-  /// The budget is also Backend::Adaptive's batch-pressure signal: a
-  /// saturated batch (budget 1) routes every instance to the sequential
-  /// sweep. Results are identical for any worker count.
+  /// Solves every request. Results are positionally aligned with `reqs`
+  /// and identical to per-request solve() up to wall-clock fields.
+  /// Host-sweep requests go through the fused batch core
+  /// (service/batch.hpp) on the calling thread, exact duplicates solved
+  /// once. Every other request runs one instance per worker of one shared
+  /// util::ThreadPool (created lazily, reused across calls) with
+  /// workers = 1 — parallelism comes from the batch. Results are identical
+  /// for any worker count.
   [[nodiscard]] std::vector<SolveResult> solve_batch(
       std::span<const SolveRequest> reqs);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "baseline/brute_force.hpp"
-#include "core/adaptive.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/naive_parallel.hpp"
 #include "cograph/graph.hpp"
@@ -62,8 +61,8 @@ bool uses_pram_machine(Backend b) {
 
 bool uses_native_executor(Backend b) { return b == Backend::Native; }
 
-bool may_use_native_threads(Backend b) {
-  return b == Backend::Native || b == Backend::Adaptive;
+bool is_host_sweep(Backend b) {
+  return b == Backend::Sequential || b == Backend::Adaptive;
 }
 
 exec::Native::Config native_config(const BackendConfig& cfg) {
@@ -133,43 +132,6 @@ BackendOutput run_sequential(const cograph::Cotree& t,
   return out;
 }
 
-BackendOutput run_adaptive(const cograph::Cotree& t,
-                           const BackendConfig& cfg) {
-  const Backend route = adaptive_route(t, cfg.cost_model, cfg.workers);
-  BackendOutput out;
-  if (route == Backend::Native) {
-    const CostModel& model =
-        cfg.cost_model != nullptr ? *cfg.cost_model : CostModel::calibrated();
-    exec::Native::Config nc = native_config(cfg);
-    nc.grains = model.grains;  // the per-stage half of the dispatch
-    // Steady-state serving: recycle scratch across every solve this
-    // thread performs (Service workers, solve_batch pool workers).
-    exec::Arena& arena = exec::Arena::for_this_thread();
-    nc.arena = &arena;
-    try {
-      exec::Native ex(nc);
-      out.cover = min_path_cover_exec(
-          ex, t, cfg.pipeline, cfg.collect_trace ? &out.trace : nullptr);
-      out.stats = ex.stats();
-      out.traced = cfg.collect_trace;
-    } catch (...) {
-      // Cancellation (or any failure) unwinds through here with every
-      // executor array already destroyed — the buffers are back in the
-      // arena free lists. Trim exactly as on success so a cancelled solve
-      // never leaves a worker thread holding peak scratch.
-      arena.trim_over(model.arena_retain_bytes);
-      throw;
-    }
-    // Every array is dead here; cap what this thread keeps warm.
-    arena.trim_over(model.arena_retain_bytes);
-  } else {
-    checkpoint_before_solve(cfg);
-    out.cover = min_path_cover_sequential(t);
-  }
-  out.routed = route;
-  return out;
-}
-
 BackendOutput run_reference(const cograph::Cotree& t,
                             const BackendConfig& cfg) {
   BackendOutput out;
@@ -225,7 +187,7 @@ BackendRegistry::BackendRegistry() {
       run_naive_parallel);
   add(Backend::Reference, to_string(Backend::Reference), run_reference);
   add(Backend::Native, to_string(Backend::Native), run_native);
-  add(Backend::Adaptive, to_string(Backend::Adaptive), run_adaptive);
+  add(Backend::Adaptive, to_string(Backend::Adaptive), run_sequential);
 }
 
 BackendRegistry& BackendRegistry::instance() {

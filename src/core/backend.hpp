@@ -51,24 +51,19 @@ enum class Backend : std::uint8_t {
   Reference,
   /// Theorem 5.3's pipeline on exec::Native — the same stage code as Pram
   /// but on direct memory with thread-pool pfor: no conflict checking, no
-  /// write buffering, no per-step barriers. The production engine; covers
-  /// are identical to Backend::Pram (the differential suite enforces it).
+  /// write buffering, no per-step barriers. An explicit opt-in (DESIGN.md §7.3 has
+  /// its measured cost against the sweep); covers are
+  /// identical to Backend::Pram (the differential suite enforces it).
   Native,
-  /// Cost-model dispatch between Sequential and Native (core/adaptive.*):
-  /// each solve is routed by predicted wall time from (n, instance shape,
-  /// threads available to this request — i.e. batch pressure). The native
-  /// route draws scratch from the calling thread's shared arena, so
-  /// steady-state serving reuses buffers across solves. Covers are
-  /// bitwise-equal to Backend::Sequential on the sequential routing
-  /// domain (which includes every n below the model's floor) and to
-  /// Backend::Native on the native one. The Service / batch default.
+  /// An alias of Backend::Sequential: the same kernel, bitwise-equal
+  /// covers, SolveResult::routed == Sequential. Kept as its own id because
+  /// wire byte 8 and existing clients name it; DESIGN.md §7.3 records why
+  /// no per-request routing to Native remains behind it.
   Adaptive,
 };
 
 [[nodiscard]] const char* to_string(Backend b);
 [[nodiscard]] std::optional<Backend> backend_from_string(std::string_view s);
-
-struct CostModel;  // core/adaptive.hpp
 
 /// Machine/engine tuning knobs a backend receives. Backends ignore the
 /// fields that do not apply to them (Sequential ignores everything).
@@ -84,10 +79,6 @@ struct BackendConfig {
   PipelineOptions pipeline{};
   /// Collect a PipelineTrace where the engine supports one.
   bool collect_trace = false;
-  /// Routing model for Backend::Adaptive; nullptr = the process-wide
-  /// calibrated default (CostModel::calibrated()). Tests inject a model to
-  /// force a route. Must outlive the solve.
-  const CostModel* cost_model = nullptr;
   /// Cooperative cancellation token (util/cancel.hpp); nullptr = never
   /// cancelled. Borrowed — must outlive the solve. Engines that honor it
   /// (Sequential routes check it once up front; Native checkpoints every
@@ -105,9 +96,6 @@ struct BackendOutput {
   bool used_pram = false;
   /// True iff `trace` was populated.
   bool traced = false;
-  /// The engine that actually ran, when the backend dispatches (set by
-  /// Backend::Adaptive); empty for backends that are their own engine.
-  std::optional<Backend> routed;
 };
 
 using BackendFn =
@@ -157,12 +145,9 @@ class BackendRegistry {
 /// count phases, not the simulator's cost model (stats_valid stays false).
 [[nodiscard]] bool uses_native_executor(Backend b);
 
-/// True for the built-in engines that may spawn their own worker threads
-/// (Native, and Adaptive's native route). Batch front-ends give exactly
-/// these backends a per-request thread budget instead of forcing inline
-/// execution — for Adaptive the budget doubles as the cost model's batch
-/// pressure signal.
-[[nodiscard]] bool may_use_native_threads(Backend b);
+/// True for the backends Solver and Service run as the host sweep
+/// (service::solve_sweep): Sequential and its alias Adaptive.
+[[nodiscard]] bool is_host_sweep(Backend b);
 
 /// exec::Native configuration a Native backend derives from `cfg`
 /// (workers == 0 resolves to hardware concurrency; the processor budget

@@ -96,19 +96,11 @@ class Arena {
     stats_.bytes_reserved = 0;
   }
 
-  /// trim(), but only when the retained capacity exceeds `keep_bytes` —
-  /// the steady-state valve for long-lived thread arenas: one outsized
-  /// solve must not pin its working set on the thread forever
-  /// (Backend::Adaptive calls this after every native-routed solve).
-  void trim_over(std::uint64_t keep_bytes) {
-    if (stats_.bytes_reserved > keep_bytes) trim();
-  }
-
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// The calling thread's private arena: one per solving thread, reused
-  /// across every solve that thread performs (Backend::Adaptive's native
-  /// route, Service workers, solve_batch pool workers).
+  /// across every solve that thread performs (Service workers, solve_batch
+  /// pool workers, the sequential solve kernel).
   static Arena& for_this_thread() {
     thread_local Arena arena;
     return arena;

@@ -62,8 +62,8 @@ template <typename E>
 inline constexpr bool native_shortcuts_v = false;
 
 /// Which primitive is asking for a sequential cutoff. Executors with
-/// native_shortcuts_v expose `sequential_ok(Stage, n)`; the per-stage
-/// grains are calibrated by the cost model (core/adaptive.*).
+/// native_shortcuts_v expose `sequential_ok(Stage, n)` against a per-stage
+/// grain table (exec::Native::Grains).
 enum class Stage : std::uint8_t {
   Scan,      // prefix sums, reductions, compaction
   Rank,      // list ranking

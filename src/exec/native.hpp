@@ -13,10 +13,10 @@
 // shortcuts* (exec::native_shortcuts_v): a primitive over n items may
 // replace its whole phase program with a one-pass host loop when
 // `sequential_ok(stage, n)` holds — always when the pool has one worker,
-// and below the per-stage grain table (Config::grains, calibrated by
-// core/adaptive.*) otherwise. Shortcut outputs are value-identical to the
-// phase program's (every primitive's output is uniquely determined by its
-// input); the differential suites enforce it.
+// and below the per-stage grain table (Config::grains) otherwise. Shortcut
+// outputs are value-identical to the phase program's (every primitive's
+// output is uniquely determined by its input); the differential suites
+// enforce it.
 //
 // Soundness: Native may only run step bodies that are EREW-clean — no cell
 // touched by two processors in a phase, no processor reading a cell after
@@ -59,8 +59,8 @@ class Native {
  public:
   /// Per-primitive sequential cutoffs: a primitive over n items takes its
   /// one-pass host fast path when n <= the stage's grain (and always when
-  /// the pool has a single worker). Defaults come from the cost-model
-  /// calibration (DESIGN.md §7); 0 disables the shortcut for that stage
+  /// the pool has a single worker). Defaults come from the per-stage
+  /// measurements in DESIGN.md §7; 0 disables the shortcut for that stage
   /// (tests use this to force the phase-structured path).
   struct Grains {
     std::size_t scan = 1 << 16;

@@ -174,7 +174,7 @@ inline constexpr std::uint8_t kOptWantVerdicts = 1u << 0;
 inline constexpr std::uint8_t kOptWantCycle = 1u << 1;
 inline constexpr std::uint8_t kOptValidate = 1u << 2;
 /// When set, `backend` selects the engine; otherwise the server's default
-/// (Adaptive under default daemon options) is used.
+/// (Sequential under default daemon options) is used.
 inline constexpr std::uint8_t kOptExplicitBackend = 1u << 3;
 /// v2: when set, a `deadline_ms u32` follows the 4-byte WireOptions on the
 /// solve verbs (SolveText/SolveSignature/BatchSolve — one deadline for the

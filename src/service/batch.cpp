@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "cograph/binarize.hpp"
-#include "exec/pack.hpp"
 #include "service/express.hpp"
 #include "service/persist_cache.hpp"
 
@@ -78,7 +76,6 @@ struct Prep {
   const cograph::CanonicalForm* form = nullptr;  // Canonical mode
   const cograph::Cotree* tree = nullptr;         // IdenticalTree mode
   std::uint64_t tree_hash = 0;                   // IdenticalTree mode
-  std::size_t n = 0;
   bool failed = false;
 };
 
@@ -132,7 +129,6 @@ std::vector<SolveResult> solve_batch_fused(
           p.form = op.form;
           p.tree = op.tree;
           p.tree_hash = op.tree_hash;
-          p.n = op.n;
         }
         continue;
       }
@@ -143,11 +139,9 @@ std::vector<SolveResult> solve_batch_fused(
         // instances serve warm hits form-only), so only the form here;
         // resolve() is deferred to the groups that actually solve.
         p.form = &reqs[i].instance.canonical();
-        p.n = p.form->from_canonical.size();
       } else {
         p.tree = &reqs[i].instance.resolve();
         p.tree_hash = identical_tree_hash(*p.tree);
-        p.n = p.tree->vertex_count();
       }
     } catch (const std::exception& e) {
       p.failed = true;
@@ -259,11 +253,22 @@ std::vector<SolveResult> solve_batch_fused(
     results[rep] = std::move(res);
   };
 
-  // ---- cache probe (once per group) + route ----------------------------
-  std::vector<std::size_t> packed;  // group indices headed for the slab
-  packed.reserve(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const std::size_t rep = groups[g].members.front();
+  // ---- per group: cache probe, then one solve --------------------------
+  // The frame token (the first request's) and the rep's own options token
+  // are polled before every group's solve: the kernel never polls, so a
+  // trip lands between groups, and every group not yet solved answers with
+  // the structured cancellation failure.
+  util::CancelToken* const frame_tok = reqs.front().cancel.get();
+  const auto tripped = [frame_tok](const SolveOptions& opts) -> const char* {
+    for (util::CancelToken* tok : {frame_tok, opts.cancel}) {
+      if (tok != nullptr && tok->poll()) {
+        return util::CancelToken::message(tok->reason());
+      }
+    }
+    return nullptr;
+  };
+  for (Group& g : groups) {
+    const std::size_t rep = g.members.front();
     const Prep& rp = preps[rep];
     if (cfg.cache != nullptr && rp.form != nullptr) {
       const CacheKeyRef key = make_cache_key(*rp.form, rp.opts);
@@ -280,8 +285,8 @@ std::vector<SolveResult> solve_batch_fused(
         ++out.cache_hits;
       }
       if (hit != nullptr) {
-        out.dedup_hits += groups[g].members.size() - 1;
-        for (const std::size_t j : groups[g].members) {
+        out.dedup_hits += g.members.size() - 1;
+        for (const std::size_t j : g.members) {
           try {
             results[j] = remapped_from_canonical(*hit, *preps[j].form);
             results[j].label = reqs[j].label;
@@ -290,85 +295,30 @@ std::vector<SolveResult> solve_batch_fused(
                                       "failed to materialize cache hit");
           }
         }
-        groups[g].members.clear();  // fully answered
         continue;
       }
     }
-    if (cfg.use_express_pack && express_eligible(rp.n, rp.opts)) {
-      packed.push_back(g);
-    } else {
-      finish_group(groups[g], fallback(reqs[rep], rp.opts));
+    const std::string& label = reqs[rep].label;
+    const Backend backend = rp.opts.backend;
+    if (const char* reason = tripped(rp.opts)) {
+      finish_group(g, solve_failure(label, backend, reason));
+      continue;
     }
-  }
-
-  if (packed.empty()) return results;
-
-  // ---- pack: every survivor's arrays in ONE arena allocation -----------
-  // Sizes are exact up front (2n-1 binarized nodes, n leaves per
-  // instance), so the slab is carved once and sliced per instance.
-  std::vector<const cograph::Cotree*> trees(packed.size(), nullptr);
-  std::size_t total_nodes = 0, total_leaves = 0;
-  for (std::size_t k = 0; k < packed.size(); ++k) {
-    const Group& g = groups[packed[k]];
-    const std::size_t rep = g.members.front();
+    if (!core::is_host_sweep(backend)) {
+      finish_group(g, fallback(reqs[rep], rp.opts));
+      continue;
+    }
+    SolveResult res;
     try {
       // Canonical mode deferred resolution to here — the groups that
       // actually solve; a decode/parse failure fails this group alone.
-      trees[k] = &reqs[rep].instance.resolve();
-      total_nodes += 2 * preps[rep].n - 1;
-      total_leaves += preps[rep].n;
-    } catch (const std::exception& e) {
-      finish_group(g, solve_failure(reqs[rep].label,
-                                    preps[rep].opts.backend, e.what()));
-    } catch (...) {
-      finish_group(g, solve_failure(reqs[rep].label, preps[rep].opts.backend,
-                                    "non-standard exception"));
-    }
-  }
-
-  exec::SlabLayout layout;
-  const auto sp_parent = layout.add<std::int32_t>(total_nodes);
-  const auto sp_left = layout.add<std::int32_t>(total_nodes);
-  const auto sp_right = layout.add<std::int32_t>(total_nodes);
-  const auto sp_leaf_count = layout.add<std::int64_t>(total_nodes);
-  const auto sp_vertex = layout.add<cograph::VertexId>(total_nodes);
-  const auto sp_lov = layout.add<par::NodeId>(total_leaves);
-  const auto sp_join = layout.add<std::uint8_t>(total_nodes);
-  exec::Slab slab(arena, layout);
-  const auto parent = slab.at(sp_parent);
-  const auto left = slab.at(sp_left);
-  const auto right = slab.at(sp_right);
-  const auto leaf_count = slab.at(sp_leaf_count);
-  const auto vertex = slab.at(sp_vertex);
-  const auto lov = slab.at(sp_lov);
-  const auto is_join = slab.at(sp_join);
-
-  // ---- sweep: back-to-back kernel solves over the slab slices -----------
-  std::size_t node_off = 0, leaf_off = 0;
-  for (std::size_t k = 0; k < packed.size(); ++k) {
-    if (trees[k] == nullptr) continue;  // resolution failed above
-    const Group& g = groups[packed[k]];
-    const std::size_t rep = g.members.front();
-    const Prep& rp = preps[rep];
-    const std::size_t n = rp.n;
-    const std::size_t bn = 2 * n - 1;
-    const cograph::BinSpans spans{
-        parent.subspan(node_off, bn), left.subspan(node_off, bn),
-        right.subspan(node_off, bn),  is_join.subspan(node_off, bn),
-        vertex.subspan(node_off, bn), lov.subspan(leaf_off, n)};
-    SolveResult res;
-    try {
-      res = solve_sweep(*trees[k], reqs[rep].label, rp.opts, spans,
-                        leaf_count.subspan(node_off, bn), arena);
+      res = solve_sweep(reqs[rep].instance.resolve(), label, rp.opts, arena);
       ++out.packed_solves;
     } catch (const std::exception& e) {
-      res = solve_failure(reqs[rep].label, rp.opts.backend, e.what());
+      res = solve_failure(label, backend, e.what());
     } catch (...) {
-      res = solve_failure(reqs[rep].label, rp.opts.backend,
-                          "non-standard exception");
+      res = solve_failure(label, backend, "non-standard exception");
     }
-    node_off += bn;
-    leaf_off += n;
     finish_group(g, std::move(res));
   }
   return results;

@@ -1,5 +1,5 @@
-// The fused batch core: dedup -> cache -> pack -> sweep -> scatter for a
-// whole span of requests at once.
+// The fused batch core: dedup -> cache -> solve -> scatter for a whole
+// span of requests at once.
 //
 // Serving traffic is dominated by small instances where per-request fixed
 // cost (queue hop, cache probe, future machinery, per-instance scratch)
@@ -9,25 +9,24 @@
 //               the batch*; each group is solved (or cache-probed) once
 //               and fanned back out through the dedup map.
 //  2. CACHE   — one ResultCache probe per unique group (not per request).
-//  3. PACK    — express-eligible survivors' SoA arrays (parent/left/right/
-//               is_join/vertex/leaf_of_vertex/leaf_count) are laid side by
-//               side in ONE exec::Arena allocation (exec::Slab) with
-//               per-instance offsets — one acquire for the whole batch.
-//  4. SWEEP   — the sequential solve kernel (service::solve_sweep) runs
-//               once per packed instance, back-to-back on the calling
-//               thread, binarizing straight into that instance's slices —
-//               the same kernel every per-instance host solve runs, so
-//               covers stay bitwise-equal.
-//  5. SCATTER — the group rep keeps its direct result; other members are
+//  3. SOLVE   — each surviving group is solved once, on the calling
+//               thread, one after another: host-sweep groups
+//               (Backend::Sequential / Adaptive) by the sequential solve
+//               kernel (service::solve_sweep) on the caller's arena — the
+//               same kernel every per-instance host solve runs, so covers
+//               stay bitwise-equal — and every other backend through the
+//               caller's fallback. The frame's cancel token is polled
+//               before each group's solve.
+//  4. SCATTER — the group rep keeps its direct result; other members are
 //               replayed through their own canonical permutation
 //               (BatchDedup::Canonical) or by identity copy
 //               (BatchDedup::IdenticalTree). Per-slot failure isolation: a
 //               bad instance fails alone, everything else still solves.
 //
 // Shared by Service::submit_batch (Canonical dedup + cache) and the
-// rerouted small-instance lane of Solver::solve_batch (IdenticalTree
-// dedup, no cache). See DESIGN.md §10 for the layout, the dedup-key
-// lifetime argument, and why the two dedup modes differ.
+// host-sweep lane of Solver::solve_batch (IdenticalTree dedup, no cache).
+// See DESIGN.md §10 for the dedup-key lifetime argument and why the two
+// dedup modes differ.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +67,7 @@ struct BatchOutcome {
   std::uint64_t cache_hits = 0;
   /// Unique groups answered by the persistent tier (and promoted into L1).
   std::uint64_t l2_hits = 0;
-  /// Unique groups solved inside the packed slab sweep.
+  /// Unique groups solved by the sequential solve kernel.
   std::uint64_t packed_solves = 0;
 };
 
@@ -82,23 +81,22 @@ struct BatchConfig {
   /// promoted into L1), written through on every fresh ok group solve.
   /// Requires `cache` (the L2 shares its canonical keys); nullptr = none.
   PersistCache* l2 = nullptr;
-  /// Pack express-eligible groups into the slab sweep. Ineligible groups
-  /// (above the Adaptive floor, non-sequential backends) — and every group
-  /// when this is off — go through `fallback`.
-  bool use_express_pack = true;
 };
 
-/// Generic per-group solve for work the packed sweep cannot take. Receives
-/// the group rep's request and its effective options; must not throw
+/// Per-group solve for backends other than the host sweep. Receives the
+/// group rep's request and its effective options; must not throw
 /// (structured ok == false results, like Solver::solve).
 using BatchFallback =
     std::function<SolveResult(const SolveRequest&, const SolveOptions&)>;
 
 /// Runs the fused pipeline over `reqs`. Results are positionally aligned
 /// with the requests; per-request options default to `default_opts`.
-/// Scratch (including the packed slab) comes from `arena` — pass the
-/// calling thread's Arena::for_this_thread(). Never throws; per-slot
-/// failures are structured ok == false results.
+/// Kernel scratch comes from `arena` — pass the calling thread's
+/// Arena::for_this_thread(). The frame token is `reqs.front().cancel`
+/// (with each group rep's `SolveOptions::cancel`): once either trips,
+/// every group not yet solved answers with util::kCancelledMsg or
+/// util::kDeadlineMsg. Never throws; per-slot failures are structured
+/// ok == false results.
 [[nodiscard]] std::vector<SolveResult> solve_batch_fused(
     std::span<const SolveRequest> reqs, const SolveOptions& default_opts,
     const BatchConfig& cfg, const BatchFallback& fallback,

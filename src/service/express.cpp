@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/adaptive.hpp"
+#include "cograph/binarize.hpp"
 #include "core/hamiltonian.hpp"
 #include "core/sequential.hpp"
 #include "exec/scratch.hpp"
@@ -10,36 +10,35 @@
 
 namespace copath::service {
 
-bool express_eligible(std::size_t n, const SolveOptions& opts) {
-  if (opts.backend == Backend::Sequential) return true;
-  if (opts.backend != Backend::Adaptive) return false;
-  const core::CostModel& model = opts.cost_model != nullptr
-                                     ? *opts.cost_model
-                                     : core::CostModel::calibrated();
-  return n < model.min_native_n;
+bool express_eligible(std::size_t /*n*/, const SolveOptions& opts) {
+  return core::is_host_sweep(opts.backend);
 }
 
 SolveResult solve_sweep(const cograph::Cotree& t, const std::string& label,
-                        const SolveOptions& opts, cograph::BinSpans bin,
-                        std::span<std::int64_t> leaf_count,
-                        exec::Arena& arena) {
+                        const SolveOptions& opts, exec::Arena& arena) {
   SolveResult res;
   res.label = label;
   res.backend = opts.backend;
 
+  cograph::ScratchBinarized storage(arena);
+  const cograph::BinSpans bin = storage.size_for(t.vertex_count());
+  exec::ScratchVec<std::int64_t> leaf_count(arena);
+  leaf_count.resize_for_overwrite(bin.left.size());
+
   util::WallTimer timer;
   const std::int32_t root = cograph::binarize_into(t, bin, arena);
-  cograph::make_leftist_into(bin.left, bin.right, leaf_count);
+  cograph::make_leftist_into(bin.left, bin.right, leaf_count.span());
   const cograph::BinView view{bin.left,   bin.right,          bin.is_join,
                               bin.vertex, bin.leaf_of_vertex, root};
-  res.cover = core::min_path_cover_sequential(view, leaf_count, arena);
+  res.cover =
+      core::min_path_cover_sequential(view, leaf_count.span(), arena);
   res.wall_ms = timer.millis();
 
   res.routed = Backend::Sequential;
   res.vertex_count = t.vertex_count();
   finish_solve(res, t, opts,
                opts.compute_verdicts
-                   ? core::count_verdicts(view, leaf_count, arena)
+                   ? core::count_verdicts(view, leaf_count.span(), arena)
                    : core::CountVerdicts{},
                /*exact=*/true);
   return res;
@@ -69,15 +68,6 @@ void finish_solve(SolveResult& res, const cograph::Cotree& t,
         core::validate_path_cover(t, res.cover, /*require_minimum=*/exact);
   }
   res.ok = true;
-}
-
-SolveResult solve_sweep(const cograph::Cotree& t, const std::string& label,
-                        const SolveOptions& opts, exec::Arena& arena) {
-  cograph::ScratchBinarized bin(arena);
-  const cograph::BinSpans spans = bin.size_for(t.vertex_count());
-  exec::ScratchVec<std::int64_t> leaf_count(arena);
-  leaf_count.resize_for_overwrite(spans.left.size());
-  return solve_sweep(t, label, opts, spans, leaf_count.span(), arena);
 }
 
 SolveResult solve_failure(const std::string& label, Backend backend,

@@ -95,7 +95,6 @@ class WatchGuard {
 
 Service::Service(Options opts)
     : opts_(std::move(opts)),
-      budgeter_(util::ThreadPool::default_workers()),
       solver_(opts_.solve),
       cache_(opts_.cache),
       // The L2 keys canonically like L1 (use_cache computes the canonical
@@ -107,7 +106,6 @@ Service::Service(Options opts)
   const std::size_t workers = opts_.workers == 0
                                   ? util::ThreadPool::default_workers()
                                   : opts_.workers;
-  worker_count_ = workers;
   watch_.resize(workers);
   if (opts_.watchdog_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -159,8 +157,14 @@ void Service::arm_job_cancel(Job& job) {
       (job.deadline_at != 0 || opts_.watchdog_ms > 0)) {
     // Nobody handed us a token but this job needs one: a deadline must be
     // enforceable mid-solve, and the watchdog needs something to trip.
+    // Stored back as the request's (a batch's slot-0) token, where the
+    // batch core polls it between groups.
     job.cancel = std::make_shared<util::CancelToken>();
-    if (!job.is_batch) job.req.cancel = job.cancel;
+    if (!job.is_batch) {
+      job.req.cancel = job.cancel;
+    } else if (!job.batch.empty()) {
+      job.batch.front().cancel = job.cancel;
+    }
   }
   if (job.cancel != nullptr && job.deadline_at != 0) {
     job.cancel->set_deadline(job.deadline_at);
@@ -195,57 +199,6 @@ void Service::watchdog_loop() {
     }
   }
 }
-
-namespace {
-
-/// RAII thread-budget lease around one engine solve: acquired only at the
-/// two generic solve sites (cache hits, coalesced waiters, and express
-/// inline solves never consume budget nor distort Adaptive's pressure
-/// signal), released on scope exit even if the engine throws. Exposes the
-/// worker-clamped options.
-class BudgetLease {
- public:
-  BudgetLease(util::ThreadBudgeter& budgeter,
-              std::atomic<std::size_t>& pending, std::size_t workers,
-              SolveOptions opts)
-      : budgeter_(budgeter),
-        leased_(core::may_use_native_threads(opts.backend)),
-        opts_(std::move(opts)) {
-    if (leased_) {
-      // Peers = workers racing for a claim right now (including us; not
-      // "busy" workers — lease holders already subtracted their grant
-      // from the pool). The grant is also Backend::Adaptive's pressure
-      // signal: a saturated service hands out budget 1 and the model
-      // routes sequential.
-      const std::size_t peers =
-          std::min(pending.fetch_add(1, std::memory_order_relaxed) + 1,
-                   workers);
-      lease_ = budgeter_.acquire(peers);
-      pending.fetch_sub(1, std::memory_order_relaxed);
-      opts_.workers = opts_.workers == 0
-                          ? lease_.threads
-                          : std::min(opts_.workers, lease_.threads);
-    } else {
-      // Per-request PRAM machines run inline on their service worker.
-      opts_.workers = 1;
-    }
-  }
-  ~BudgetLease() {
-    if (leased_) budgeter_.release(lease_);
-  }
-  BudgetLease(const BudgetLease&) = delete;
-  BudgetLease& operator=(const BudgetLease&) = delete;
-
-  [[nodiscard]] const SolveOptions& opts() const { return opts_; }
-
- private:
-  util::ThreadBudgeter& budgeter_;
-  util::ThreadBudgeter::Lease lease_{1};
-  bool leased_;
-  SolveOptions opts_;
-};
-
-}  // namespace
 
 std::future<SolveResult> Service::submit(SolveRequest req) {
   // std::promise is move-only and std::function requires copyable
@@ -448,11 +401,9 @@ void Service::shed_job(Job job, const char* reason) {
 void Service::process(Job job, std::size_t worker) {
   const std::string label = job.req.label;
   util::CancelToken* const tok = job.cancel.get();
-  // Worker counts are clamped per solve by a BudgetLease scoped around
-  // each generic engine call — cache hits, coalesced waiters, and express
-  // solves below never touch the thread budget. The cancel borrow rides
-  // the options into the engine; it is NOT part of the cache key
-  // (OptionsKey ignores it — cancellation never changes an answer).
+  // The cancel borrow rides the options into the engine; it is NOT part of
+  // the cache key (OptionsKey ignores it — cancellation never changes an
+  // answer).
   SolveOptions opts = effective_options(job.req);
   opts.cancel = tok;
 
@@ -463,17 +414,14 @@ void Service::process(Job job, std::size_t worker) {
   // parked waiters, so plug-in backends throwing non-standard exceptions
   // and allocation failures are caught and turned into structured results.
   const cograph::CanonicalForm* form = nullptr;
-  std::size_t n = 0;
   try {
     if (opts_.use_cache) {
-      // The form's permutation size IS the vertex count, so the cache-hit
-      // path never calls resolve() — a signature-sourced instance serves
-      // warm hits without ever materializing its cotree (the engines
-      // resolve lazily on the miss path).
+      // The cache-hit path never calls resolve() — a signature-sourced
+      // instance serves warm hits without ever materializing its cotree
+      // (the engines resolve lazily on the miss path).
       form = &job.req.instance.canonical();
-      n = form->from_canonical.size();
     } else {
-      n = job.req.instance.resolve().vertex_count();
+      (void)job.req.instance.resolve();
     }
   } catch (const std::exception& e) {
     completed_.fetch_add(1, std::memory_order_relaxed);
@@ -485,15 +433,13 @@ void Service::process(Job job, std::size_t worker) {
     return;
   }
 
-  // The express lane: below the Adaptive floor the route is the sequential
-  // sweep with or without dispatch, so run the solve kernel inline — no
-  // registry walk, no thread lease, all scratch from this worker's arena.
-  // Above the floor the leased Solver::solve runs the same kernel whenever
-  // Adaptive routes to the sweep. The instance is borrowed, never moved:
-  // it (and the canonical form the cache key views) must stay alive
-  // through the canonical-space store below.
-  const bool express =
-      opts_.use_express && service::express_eligible(n, opts);
+  // The express lane: a host-sweep request runs the solve kernel inline —
+  // no registry walk, all scratch from this worker's arena. Other backends
+  // go through Solver::solve with the request's options unchanged. The
+  // instance is borrowed, never moved: it (and the canonical form the
+  // cache key views) must stay alive through the canonical-space store
+  // below.
+  const bool express = core::is_host_sweep(opts.backend);
   const auto solve_once = [&]() -> SolveResult {
     // From here the worker is "in a solve": its token is registered with
     // the watchdog until solve_once returns.
@@ -512,9 +458,8 @@ void Service::process(Job job, std::size_t worker) {
       return service::solve_express(job.req.instance, label, opts,
                                     exec::Arena::for_this_thread());
     }
-    BudgetLease bl(budgeter_, pending_, worker_count_, opts);
     try {
-      return solver_.solve(job.req.instance, label, bl.opts());
+      return solver_.solve(job.req.instance, label, opts);
     } catch (...) {  // solve() catches std::exception; plug-ins may not
       return failure(label, opts.backend, "non-standard exception");
     }
@@ -695,27 +640,16 @@ void Service::process_batch(Job job, std::size_t worker) {
                               : service::BatchDedup::IdenticalTree;
   cfg.cache = opts_.use_cache ? &cache_ : nullptr;
   cfg.l2 = opts_.use_cache ? persist_.get() : nullptr;
-  cfg.use_express_pack = opts_.use_express;
 
-  // ONE lease spans the whole batch: the packed sweep is sequential per
-  // instance (no native threads), and above-floor fallback groups reuse
-  // this grant instead of re-acquiring per group — a batch perturbs the
-  // budgeter exactly once, like one big request (DESIGN.md §10).
-  BudgetLease bl(budgeter_, pending_, worker_count_, opts_.solve);
-  const std::size_t grant =
-      std::max<std::size_t>(std::size_t{1}, bl.opts().workers);
+  // Non-host-sweep groups solve through Solver::solve under the frame
+  // token, which engines with checkpoints poll mid-solve; the batch core
+  // itself polls it before every group (host-sweep groups included).
   const service::BatchFallback fallback =
       [&](const SolveRequest& req, const SolveOptions& opts) -> SolveResult {
-    SolveOptions clamped = opts;
-    clamped.workers = clamped.workers == 0
-                          ? grant
-                          : std::min(clamped.workers, grant);
-    // The frame token governs every above-floor fallback solve; the
-    // packed small-instance sweep runs to completion (each sweep is a
-    // bounded O(n) pass — cancellation lands between groups at worst).
-    clamped.cancel = tok;
+    SolveOptions with_token = opts;
+    with_token.cancel = tok;
     try {
-      return solver_.solve(req.instance, req.label, clamped);
+      return solver_.solve(req.instance, req.label, with_token);
     } catch (...) {  // solve() catches std::exception; plug-ins may not
       return failure(req.label, opts.backend, "non-standard exception");
     }
@@ -751,7 +685,6 @@ Service::Stats Service::stats() const {
   s.batch_submits = batch_submits_.load(std::memory_order_relaxed);
   s.batch_dedup_hits = batch_dedup_.load(std::memory_order_relaxed);
   s.packed_solves = packed_.load(std::memory_order_relaxed);
-  s.lease_acquires = budgeter_.acquires();
   s.arena_acquires = arena_acquires_.load(std::memory_order_relaxed);
   s.arena_reuses = arena_reuses_.load(std::memory_order_relaxed);
   s.arena_fresh_allocs = arena_fresh_.load(std::memory_order_relaxed);

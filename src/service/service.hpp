@@ -16,13 +16,15 @@
 //    starting its own; when the twin finishes, every parked waiter is
 //    fulfilled from the one result. Concurrent identical requests compute
 //    once.
-//  * Express lane — a request below the Adaptive cost model's native floor
-//    skips backend/registry dispatch entirely and runs parse -> binarize ->
-//    sequential sweep inline on the worker thread (service/express.hpp),
-//    with all scratch drawn from the worker's thread-local exec::Arena and
-//    no native-thread lease claimed. Steady-state small requests perform
-//    zero arena-fresh allocations from request text to SolveResult; the
-//    per-worker arena counters aggregated in Stats prove it continuously.
+//  * Express lane — every host-sweep request (Backend::Sequential, the
+//    default, and its alias Backend::Adaptive) skips backend/registry
+//    dispatch entirely and runs parse -> binarize -> sequential sweep
+//    inline on the worker thread (service/express.hpp), with all scratch
+//    drawn from the worker's thread-local exec::Arena. Steady-state
+//    requests perform zero arena-fresh allocations from request text to
+//    SolveResult; the per-worker arena counters aggregated in Stats prove
+//    it continuously. Other backends go through Solver::solve with the
+//    request's options unchanged.
 //  * Backpressure — the submit queue is bounded; producers block in
 //    submit() when solvers fall behind, so bursts cost latency, not
 //    memory.
@@ -58,7 +60,6 @@
 #include "service/persist_cache.hpp"
 #include "service/result_cache.hpp"
 #include "util/mpmc_queue.hpp"
-#include "util/thread_budget.hpp"
 
 namespace copath {
 
@@ -86,13 +87,9 @@ inline constexpr const char* kErrOverloaded = "service overloaded";
 class Service {
  public:
   struct Options {
-    /// Default solve options for requests that carry none. The serving
-    /// default is Backend::Adaptive: the cost model routes every request
-    /// between the sequential sweep and the native pipeline using the
-    /// request's thread budget as the batch-pressure signal. Per-request
-    /// worker counts are clamped to the per-worker thread budget (the
-    /// solve_batch rule: no nested oversubscription).
-    SolveOptions solve{.backend = Backend::Adaptive};
+    /// Default solve options for requests that carry none: the sequential
+    /// sweep (Backend::Sequential), run inline on the express lane.
+    SolveOptions solve{};
     /// Solver worker threads draining the queue; 0 = hardware concurrency.
     std::size_t workers = 0;
     /// Bound of the submit queue — the backpressure knob. submit() blocks
@@ -101,9 +98,6 @@ class Service {
     /// Master switch for the memo cache AND in-flight coalescing (off =
     /// every request computes; the differential-test baseline).
     bool use_cache = true;
-    /// Master switch for the express lane (off = every computed request
-    /// dispatches through the backend registry; differential baseline).
-    bool use_express = true;
     service::ResultCache::Config cache{};
     /// Persistent L2 tier (service/persist_cache.hpp). persist.dir empty =
     /// RAM-only (no files touched). The L2 is keyed canonically like L1,
@@ -145,8 +139,7 @@ class Service {
     /// exceeded" failure, the solve never ran. Counted per request (a
     /// whole expired batch adds its slot count).
     std::uint64_t shed_expired = 0;
-    /// Requests solved inline on the express lane (no registry dispatch,
-    /// no native-thread lease).
+    /// Requests solved inline on the express lane (no registry dispatch).
     std::uint64_t express_solves = 0;
     /// submit_batch calls accepted (each is ONE queue slot and ONE worker
     /// dispatch however many requests it carries).
@@ -155,15 +148,15 @@ class Service {
     /// (intra-batch dedup by canonical signature — cache hits are counted
     /// by cache_hits as usual, once per unique group).
     std::uint64_t batch_dedup_hits = 0;
-    /// Unique batch groups solved inside the packed slab sweep (one arena
-    /// allocation, back-to-back sequential sweeps; see service/batch.hpp).
+    /// Unique batch groups solved by the sequential solve kernel (see
+    /// service/batch.hpp).
     std::uint64_t packed_solves = 0;
-    /// Native-thread leases ever claimed from the budgeter — stays flat
-    /// while only express-eligible traffic arrives.
+    /// Always 0: the Service claims no thread leases. Kept only because
+    /// the perfbench ledger reads it.
     std::uint64_t lease_acquires = 0;
     /// Thread-local front-end arena counters summed over the workers
-    /// (request scratch: parse, canonicalize, binarize, sweep, plus the
-    /// Adaptive native route's executor arrays). fresh_allocs flat across
+    /// (request scratch: parse, canonicalize, binarize, sweep).
+    /// fresh_allocs flat across
     /// warm requests == the zero-allocation steady state; the regression
     /// test in tests/frontend_test.cpp pins it.
     std::uint64_t arena_acquires = 0;
@@ -230,10 +223,11 @@ class Service {
 
   /// Enqueues a whole batch as ONE queue slot and solves it fused on one
   /// worker (service/batch.hpp): intra-batch dedup by canonical signature,
-  /// one cache probe per unique group, express-eligible survivors packed
-  /// into a single arena slab and swept back-to-back under ONE native-
-  /// thread lease. Results are positionally aligned with `reqs` and
-  /// bitwise-equal to N independent submit() calls (DESIGN.md §10). Blocks
+  /// one cache probe per unique group, then one solve per surviving group
+  /// (the sequential kernel for host-sweep groups), the frame's cancel
+  /// token polled before each. Results are positionally aligned with
+  /// `reqs` and bitwise-equal to N independent submit() calls (DESIGN.md
+  /// §10). Blocks
   /// while the queue is full; after drain()/shutdown() every slot resolves
   /// to a structured refusal. Batches bypass in-flight coalescing — dedup
   /// against concurrent singles happens through the cache instead.
@@ -301,7 +295,8 @@ class Service {
     /// This job's cancel token: the request's own (set by net::Server) or
     /// one the Service created at admission because a deadline or the
     /// watchdog needs one (see arm_job_cancel). A batch's token is its
-    /// frame token (slot 0's). nullptr = job is not cancellable.
+    /// frame token (slot 0's SolveRequest::cancel, which a created token is
+    /// stored into). nullptr = job is not cancellable.
     std::shared_ptr<util::CancelToken> cancel;
   };
   /// A request parked on an in-flight twin. Keeps its whole SolveRequest
@@ -358,17 +353,6 @@ class Service {
   }
 
   Options opts_;
-  /// Divides the host's threads among concurrently *solving* workers for
-  /// native-capable requests; claims return on completion, so a lone big
-  /// request on an idle service gets the whole machine.
-  util::ThreadBudgeter budgeter_;
-  /// Workers between entering solve_budgeted and claiming their lease —
-  /// the divisor for each claim (not "busy": workers already holding a
-  /// lease have subtracted their grant from the budgeter's pool).
-  std::atomic<std::size_t> pending_{0};
-  /// threads_.size(), frozen before the workers start (reading the vector
-  /// from workers would race its construction).
-  std::size_t worker_count_ = 0;
   Solver solver_;
   service::ResultCache cache_;
   /// The L2 tier; null when Options::persist.dir is empty.

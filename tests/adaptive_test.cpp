@@ -1,33 +1,24 @@
-// Backend::Adaptive — the cost-model dispatch engine. The contract under
-// test: (1) the model routes deterministically from (n, shape, threads)
-// and below its floor always picks Sequential; (2) on the sequential
-// routing domain Adaptive results are bitwise-equal to Backend::Sequential
-// — covers, minima, verdicts — across family sweeps, 120 random
-// instances, solve_batch, and Service concurrency; (3) when a forced model
-// routes native, results are bitwise-equal to Backend::Native; (4) the
-// `routed` field reports the engine that actually ran.
+// Backend::Adaptive — an alias of Backend::Sequential kept for the wire
+// (byte 8) and existing clients. The contract under test: Adaptive is
+// registered under its own name, and its answers are bitwise-equal to
+// Backend::Sequential — covers, minima, verdicts, routed == Sequential —
+// across family sweeps, 120 random instances, solve_batch, Service
+// concurrency, and the wire; the Service default is Sequential itself, and
+// no entry point claims a thread lease.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <future>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "copath.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
 #include "testing.hpp"
 
 namespace copath {
 namespace {
-
-using core::CostModel;
-
-/// A model that routes everything it legally can to the native pipeline.
-CostModel force_native_model() {
-  CostModel m;
-  m.min_native_n = 0;
-  m.seq_ns_per_vertex = 1e12;  // sequential predicted infinitely slow
-  m.native_fixed_ns = 0;
-  return m;
-}
 
 TEST(Adaptive, RegisteredWithRoundTrippingNameAndExact) {
   const auto entry = BackendRegistry::instance().find(Backend::Adaptive);
@@ -35,36 +26,6 @@ TEST(Adaptive, RegisteredWithRoundTrippingNameAndExact) {
   EXPECT_EQ(entry->name, "adaptive");
   EXPECT_TRUE(entry->exact);
   EXPECT_EQ(core::backend_from_string("adaptive"), Backend::Adaptive);
-}
-
-TEST(Adaptive, CostModelRoutesSequentialBelowTheFloorAndOnOneThread) {
-  const CostModel& m = CostModel::calibrated();
-  // The floor is unconditional: even "infinite" threads stay sequential.
-  EXPECT_EQ(m.choose(m.min_native_n - 1, m.min_native_n / 2, 1024),
-            Backend::Sequential);
-  // One thread: the native pipeline's constant factor can never win.
-  EXPECT_EQ(m.choose(std::size_t{1} << 20, 1 << 19, 1),
-            Backend::Sequential);
-  // The calibrated single-thread slopes keep sequential ahead everywhere.
-  EXPECT_LT(m.predict_sequential_ms(1 << 16),
-            m.predict_native_ms(1 << 16, 1 << 15, 1));
-}
-
-TEST(Adaptive, CostModelRoutesNativeWhenThreadsOverwhelmTheSlopeGap) {
-  const CostModel& m = CostModel::calibrated();
-  // With enough workers the predicted native time crosses below the
-  // sequential line at large n; find the worker count where it happens
-  // and check monotonicity (more threads never flips native -> seq).
-  const std::size_t n = std::size_t{1} << 20;
-  bool native_seen = false;
-  for (std::size_t w = 1; w <= 512; w *= 2) {
-    const bool native = m.choose(n, n / 2, w) == Backend::Native;
-    if (native_seen) EXPECT_TRUE(native) << "w=" << w;
-    native_seen = native_seen || native;
-  }
-  EXPECT_TRUE(native_seen)
-      << "calibrated model never routes native at n=2^20 even with 512 "
-         "threads — the slope constants are implausible";
 }
 
 TEST(Adaptive, BitwiseEqualToSequentialOnFamilySweeps) {
@@ -85,7 +46,7 @@ TEST(Adaptive, BitwiseEqualToSequentialOnFamilySweeps) {
     EXPECT_EQ(ares.hamiltonian_cycle, sres.hamiltonian_cycle);
     EXPECT_TRUE(ares.validation.ok) << ares.validation.error;
     EXPECT_EQ(ares.backend, Backend::Adaptive);
-    EXPECT_EQ(ares.routed, Backend::Sequential);  // below the floor
+    EXPECT_EQ(ares.routed, Backend::Sequential);
   }
   for (const auto& t : testing::small_families()) {
     const auto ares = Solver(aopt).solve(Instance::view(t));
@@ -111,7 +72,6 @@ TEST(Adaptive, BitwiseEqualToSequentialOn120RandomInstancesViaBatch) {
 
   SolveOptions aopt;
   aopt.backend = Backend::Adaptive;
-  aopt.workers = 0;  // budgeted by the batch
   aopt.batch_workers = 3;
   Solver asolver(aopt);
   const auto ares = asolver.solve_batch(reqs);
@@ -133,13 +93,13 @@ TEST(Adaptive, BitwiseEqualToSequentialOn120RandomInstancesViaBatch) {
 }
 
 TEST(Adaptive, BitwiseEqualToSequentialUnderServiceConcurrency) {
-  // The serving default IS Adaptive; hammer a cache-less Service from the
-  // test thread and compare every future against direct Sequential.
+  // Hammer a cache-less Adaptive Service from the test thread and compare
+  // every future against direct Sequential.
   Service::Options sopts;
   sopts.workers = 4;
   sopts.use_cache = false;
+  sopts.solve.backend = Backend::Adaptive;
   Service svc(sopts);
-  ASSERT_EQ(sopts.solve.backend, Backend::Adaptive);  // the default
 
   std::vector<cograph::Cotree> keep;
   std::vector<std::future<SolveResult>> futures;
@@ -164,49 +124,124 @@ TEST(Adaptive, BitwiseEqualToSequentialUnderServiceConcurrency) {
   }
 }
 
-TEST(Adaptive, ForcedNativeRouteIsBitwiseEqualToBackendNative) {
-  // Inject a model that predicts sequential as infinitely slow: every
-  // instance takes the native route (arena + shortcuts) and must equal
-  // Backend::Native bitwise.
-  const CostModel forced = force_native_model();
-  SolveOptions aopt;
-  aopt.backend = Backend::Adaptive;
-  aopt.cost_model = &forced;
-  aopt.validate = true;
-  SolveOptions nopt;
-  nopt.backend = Backend::Native;
-  nopt.validate = true;
-  for (const auto& t : testing::large_families()) {
-    const auto ares = Solver(aopt).solve(Instance::view(t));
-    const auto nres = Solver(nopt).solve(Instance::view(t));
-    ASSERT_TRUE(ares.ok) << ares.error;
-    ASSERT_TRUE(nres.ok) << nres.error;
-    EXPECT_EQ(ares.routed, Backend::Native);
-    EXPECT_EQ(ares.cover.paths, nres.cover.paths) << t.vertex_count();
-    EXPECT_EQ(ares.optimal_size, nres.optimal_size);
-    EXPECT_TRUE(ares.validation.ok) << ares.validation.error;
-    // Adaptive's native route is not a PRAM run either.
-    EXPECT_FALSE(ares.stats_valid);
+/// A loopback copathd for the wire leg, drained on destruction.
+struct LoopbackDaemon {
+  LoopbackDaemon() : server([] {
+    net::Server::Options opts;
+    opts.port = 0;
+    opts.service.workers = 2;
+    return opts;
+  }()) {
+    thread = std::thread([this] { server.run(); });
   }
-  // And across a random sweep, batched (exercises the per-thread arena
-  // recycling across batched solves).
-  std::vector<cograph::Cotree> keep;
-  for (unsigned i = 0; i < 40; ++i) {
-    keep.push_back(testing::random_cotree(1 + (i * 17) % 200, 909000 + i));
+  ~LoopbackDaemon() {
+    server.request_drain();
+    thread.join();
   }
-  std::vector<SolveRequest> reqs(keep.size());
+  net::Server server;
+  std::thread thread;
+};
+
+void expect_sequential_answer(const SolveResult& got, Backend backend,
+                              const SolveResult& want,
+                              const std::string& what) {
+  ASSERT_TRUE(got.ok) << what << ": " << got.error;
+  EXPECT_EQ(got.backend, backend) << what;
+  EXPECT_EQ(got.routed, Backend::Sequential) << what;
+  EXPECT_EQ(got.cover.paths, want.cover.paths) << what;
+  EXPECT_EQ(got.optimal_size, want.optimal_size) << what;
+  EXPECT_EQ(got.minimum, want.minimum) << what;
+  EXPECT_EQ(got.hamiltonian_path, want.hamiltonian_path) << what;
+  EXPECT_EQ(got.hamiltonian_cycle, want.hamiltonian_cycle) << what;
+}
+
+TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
+  // Explicit Adaptive requests through Solver::solve, Service::submit and
+  // wire byte 8 answer bitwise-equal to Sequential with routed ==
+  // Sequential; a default Service answer reports Sequential; and no miss
+  // or batch claims a thread lease, including at n = 2^14.
+  constexpr std::size_t kBig = std::size_t{1} << 14;
+  std::vector<Cotree> keep;
+  for (unsigned i = 0; i < 6; ++i) {
+    keep.push_back(testing::random_cotree(1 + i * 37, 818000 + i));
+  }
+  keep.push_back(testing::random_cotree(kBig, 818100));
+  keep.push_back(cograph::caterpillar(kBig));
+
+  SolveOptions ada;
+  ada.backend = Backend::Adaptive;
+  const Solver adaptive(ada);
+  const Solver sequential;  // Backend::Sequential defaults
+
+  Service::Options sopts;
+  sopts.workers = 2;
+  Service svc(sopts);
+  ASSERT_EQ(svc.options().solve.backend, Backend::Sequential);
+
+  LoopbackDaemon daemon;
+  net::Client cli("127.0.0.1", daemon.server.port());
+  net::protocol::WireOptions wire;
+  wire.flags =
+      net::protocol::kOptWantVerdicts | net::protocol::kOptExplicitBackend;
+  wire.backend = static_cast<std::uint8_t>(Backend::Adaptive);
+  ASSERT_EQ(wire.backend, 8);
+
   for (std::size_t i = 0; i < keep.size(); ++i) {
-    reqs[i].instance = Instance::view(keep[i]);
-    reqs[i].options = aopt;
+    const Cotree& t = keep[i];
+    const std::string what = "instance " + std::to_string(i) +
+                             " n=" + std::to_string(t.vertex_count());
+    const SolveResult want = sequential.solve(Instance::view(t));
+    ASSERT_TRUE(want.ok) << what << ": " << want.error;
+
+    expect_sequential_answer(adaptive.solve(Instance::view(t)),
+                             Backend::Adaptive, want, what + " solver");
+    expect_sequential_answer(
+        svc.submit(SolveRequest{Instance::view(t), ada, "a"}).get(),
+        Backend::Adaptive, want, what + " service adaptive");
+    expect_sequential_answer(
+        svc.submit(SolveRequest{Instance::view(t), {}, "d"}).get(),
+        Backend::Sequential, want, what + " service default");
+
+    // The wire leg solves the text form, so compare against a direct solve
+    // of that same text.
+    const std::string text = t.format();
+    const SolveResult want_text = sequential.solve(Instance::text(text));
+    ASSERT_TRUE(want_text.ok) << what;
+    const net::protocol::Response res = cli.solve_text(text, wire);
+    ASSERT_EQ(res.status, net::protocol::Status::Ok) << what << res.error;
+    ASSERT_EQ(res.result.paths.size(), want_text.cover.paths.size()) << what;
+    for (std::size_t p = 0; p < res.result.paths.size(); ++p) {
+      const auto& want_path = want_text.cover.paths[p];
+      EXPECT_EQ(res.result.paths[p],
+                std::vector<std::uint32_t>(want_path.begin(), want_path.end()))
+          << what << " path " << p;
+    }
+    EXPECT_EQ(res.result.optimal_size, want_text.optimal_size) << what;
+    EXPECT_EQ(res.result.hamiltonian_path, want_text.hamiltonian_path)
+        << what;
+    EXPECT_EQ(res.result.hamiltonian_cycle, want_text.hamiltonian_cycle)
+        << what;
   }
-  Solver batcher;
-  const auto batched = batcher.solve_batch(reqs);
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    const auto nres = Solver(nopt).solve(Instance::view(keep[i]));
-    ASSERT_TRUE(batched[i].ok) << batched[i].error;
-    EXPECT_EQ(batched[i].routed, Backend::Native) << i;
-    EXPECT_EQ(batched[i].cover.paths, nres.cover.paths) << i;
-  }
+
+  // A batch of fresh n = 2^14 instances (default and Adaptive members).
+  const Cotree b0 = testing::random_cotree(kBig, 818200);
+  const Cotree b1 = testing::random_cotree(kBig + 1, 818201);
+  std::vector<SolveRequest> batch;
+  batch.push_back(SolveRequest{Instance::view(b0), {}, "b0"});
+  batch.push_back(SolveRequest{Instance::view(b1), ada, "b1"});
+  batch.push_back(SolveRequest{Instance::view(b0), {}, "b0 again"});
+  const auto got = svc.submit_batch(std::move(batch)).get();
+  ASSERT_EQ(got.size(), 3u);
+  const SolveResult want0 = sequential.solve(Instance::view(b0));
+  const SolveResult want1 = sequential.solve(Instance::view(b1));
+  expect_sequential_answer(got[0], Backend::Sequential, want0, "batch 0");
+  expect_sequential_answer(got[1], Backend::Adaptive, want1, "batch 1");
+  expect_sequential_answer(got[2], Backend::Sequential, want0, "batch 2");
+
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.lease_acquires, 0u);
+  EXPECT_EQ(stats.express_solves, 2 * keep.size());
+  EXPECT_EQ(stats.packed_solves, 2u);
 }
 
 TEST(Adaptive, CountRoutesHostSweepAndMatchesVerdicts) {

@@ -2,7 +2,7 @@
 // N independent submits (cold AND warm, families + 120 random instances
 // including permuted twins), dedup soundness against the independent
 // validator, empty/singleton/all-duplicate shapes, per-slot failure
-// isolation, the Solver::solve_batch small-instance reroute differential,
+// isolation, the Solver::solve_batch host-sweep lane differential,
 // a TSan stress mixing concurrent batches with singles and drain, the
 // BatchSolve wire round trip, and the daemon serving a whole batch in one
 // frame.
@@ -105,7 +105,7 @@ TEST(ServiceBatch, DifferentialAgainstIndependentSubmitsColdAndWarm) {
   const Service::Stats s = batch_svc.stats();
   EXPECT_EQ(s.batch_submits, 2u);
   EXPECT_GT(s.batch_dedup_hits, 0u);  // duplicates + twins were grouped
-  EXPECT_GT(s.packed_solves, 0u);     // small instances took the slab sweep
+  EXPECT_GT(s.packed_solves, 0u);     // groups solved by the kernel
   EXPECT_EQ(s.completed, 2 * keep.size());
 }
 
@@ -245,14 +245,14 @@ TEST(ServiceBatch, DrainRefusesWholeBatchStructurally) {
 // ---------------------------------------------------------- Solver lane
 
 TEST(SolverBatch, RerouteBitwiseEqualToPerInstanceSolves) {
-  // Small instances (rerouted through the fused core), large instances
-  // (budgeted pool path), duplicates, and a parse failure — positional
-  // results must match per-instance solve() exactly.
+  // Host-sweep instances (through the fused core), large ones, duplicates,
+  // and a parse failure — positional results must match per-instance
+  // solve() exactly.
   std::vector<Cotree> keep;
   for (unsigned i = 0; i < 40; ++i) {
     keep.push_back(testing::random_cotree(1 + (i * 7) % 70, 73000 + i));
   }
-  keep.push_back(cograph::clique(300));  // above any small-lane floor
+  keep.push_back(cograph::clique(300));
   std::vector<SolveRequest> reqs;
   for (const Cotree& t : keep) {
     reqs.push_back(SolveRequest{Instance::view(t), {}, {}});
@@ -274,8 +274,8 @@ TEST(SolverBatch, RerouteBitwiseEqualToPerInstanceSolves) {
 }
 
 TEST(SolverBatch, AdaptiveBatchStillBitwiseEqualToSequential) {
-  // The adaptive_test acceptance shape, against the rerouted lane: small
-  // Adaptive instances through solve_batch == per-request Sequential.
+  // The adaptive_test acceptance shape, against the fused lane: Adaptive
+  // instances through solve_batch == per-request Sequential.
   std::vector<Cotree> keep;
   for (unsigned i = 0; i < 60; ++i) {
     keep.push_back(testing::random_cotree(1 + (i * 11) % 50, 74000 + i));

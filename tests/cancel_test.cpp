@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "copath.hpp"
+#include "service/batch.hpp"
 #include "testing.hpp"
 #include "util/cancel.hpp"
 #include "util/clock.hpp"
@@ -132,9 +133,9 @@ std::vector<Backend> cancel_backends() {
 }
 
 /// (backend, instance) pairs for the up-front refusal tests: every backend
-/// on `small`, plus the host-sweep backends on `big`, an instance at the
-/// Adaptive floor — where Solver runs the sequential kernel inline instead
-/// of a registry engine, and must still refuse before any work.
+/// on `small`, plus the host-sweep backends on `big` (n = 2^14), where
+/// Solver runs the sequential kernel inline instead of a registry engine
+/// and must still refuse before any work.
 std::vector<std::pair<Backend, const Cotree*>> refusal_cases(
     const Cotree& small, const Cotree& big) {
   std::vector<std::pair<Backend, const Cotree*>> cases;
@@ -148,7 +149,7 @@ std::vector<std::pair<Backend, const Cotree*>> refusal_cases(
 TEST(CancelSolve, PreTrippedTokenAnswersCancelledNotAThrow) {
   const Cotree small = testing::random_cotree(300, 4242);
   const Cotree big =
-      testing::random_cotree(core::CostModel::calibrated().min_native_n, 4244);
+      testing::random_cotree(std::size_t{1} << 14, 4244);
   for (const auto& [b, t] : refusal_cases(small, big)) {
     util::CancelToken tok;
     tok.cancel(util::CancelToken::Reason::kCancelled);
@@ -167,7 +168,7 @@ TEST(CancelSolve, PreTrippedTokenAnswersCancelledNotAThrow) {
 TEST(CancelSolve, ExpiredDeadlineAnswersDeadlineExceeded) {
   const Cotree small = testing::random_cotree(300, 4243);
   const Cotree big =
-      testing::random_cotree(core::CostModel::calibrated().min_native_n, 4245);
+      testing::random_cotree(std::size_t{1} << 14, 4245);
   for (const auto& [b, t] : refusal_cases(small, big)) {
     util::CancelToken tok;
     tok.set_deadline(1);  // long past; first checkpoint self-trips
@@ -219,30 +220,110 @@ TEST(CancelSolve, ArmedButUntrippedTokenChangesNothing) {
 
 TEST(CancelSolve, BatchMembersAfterATripAreCancelledToo) {
   // solve_batch shares one coordinator: once the token trips, remaining
-  // members answer structurally instead of burning CPU.
-  util::CancelToken tok;
+  // members answer structurally instead of burning CPU — on the pool
+  // (Native) and in the fused host-sweep lane (Sequential) alike.
+  for (const Backend b : {Backend::Native, Backend::Sequential}) {
+    util::CancelToken tok;
+    std::vector<Cotree> trees;
+    std::vector<SolveRequest> reqs;
+    for (unsigned i = 0; i < 4; ++i) {
+      trees.push_back(testing::random_cotree(200, 7300 + i));
+    }
+    SolveOptions opts;
+    opts.backend = b;
+    opts.cancel = &tok;
+    for (const auto& t : trees) {
+      SolveRequest r;
+      r.instance = Instance::view(t);
+      r.options = opts;
+      reqs.push_back(std::move(r));
+    }
+    tok.cancel(util::CancelToken::Reason::kCancelled);
+    Solver solver(opts);
+    const auto results = solver.solve_batch(reqs);
+    ASSERT_EQ(results.size(), reqs.size());
+    for (const auto& res : results) {
+      EXPECT_FALSE(res.ok) << core::to_string(b);
+      EXPECT_EQ(res.error, util::kCancelledMsg) << core::to_string(b);
+    }
+  }
+}
+
+// ------------------------------------------------- batch core frame token
+
+TEST(CancelBatch, TrippedFrameTokenAnswersEveryUnsolvedGroup) {
+  // solve_batch_fused polls the frame token (the first request's
+  // SolveRequest::cancel) before every group's solve; the kernel itself
+  // never polls. Tripped before the call, every member — small host-sweep
+  // ones and duplicates included — answers with the structured reason.
   std::vector<Cotree> trees;
+  for (unsigned i = 0; i < 5; ++i) {
+    trees.push_back(testing::random_cotree(20 + i, 7400 + i));
+  }
+  for (const auto reason : {util::CancelToken::Reason::kCancelled,
+                            util::CancelToken::Reason::kDeadline}) {
+    auto tok = std::make_shared<util::CancelToken>();
+    tok->cancel(reason);
+    std::vector<SolveRequest> reqs;
+    for (const auto& t : trees) {
+      reqs.push_back(SolveRequest{Instance::view(t), {}, "m"});
+    }
+    reqs.push_back(reqs[1]);  // a duplicate rides its group's answer
+    reqs.front().cancel = tok;
+    int fallbacks = 0;
+    service::BatchOutcome outcome;
+    const auto results = service::solve_batch_fused(
+        reqs, SolveOptions{}, service::BatchConfig{},
+        [&fallbacks](const SolveRequest& r, const SolveOptions& o) {
+          ++fallbacks;
+          return Solver().solve(r.instance, r.label, o);
+        },
+        exec::Arena::for_this_thread(), &outcome);
+    ASSERT_EQ(results.size(), reqs.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_FALSE(results[i].ok) << i;
+      EXPECT_EQ(results[i].error, util::CancelToken::message(reason)) << i;
+      EXPECT_EQ(results[i].label, "m") << i;
+    }
+    EXPECT_EQ(outcome.packed_solves, 0u);
+    EXPECT_EQ(fallbacks, 0);
+  }
+}
+
+TEST(CancelBatch, TripMidBatchStopsTheGroupsAfterIt) {
+  // A trip while group 2 solves (its fallback trips the frame token) lands
+  // between groups: groups 0-2 keep their answers, 3-4 answer Cancelled.
+  std::vector<Cotree> trees;
+  for (unsigned i = 0; i < 5; ++i) {
+    trees.push_back(testing::random_cotree(30 + i, 7500 + i));
+  }
+  auto tok = std::make_shared<util::CancelToken>();
   std::vector<SolveRequest> reqs;
-  for (unsigned i = 0; i < 4; ++i) {
-    trees.push_back(testing::random_cotree(200, 7300 + i));
-  }
-  SolveOptions opts;
-  opts.backend = Backend::Native;
-  opts.cancel = &tok;
   for (const auto& t : trees) {
-    SolveRequest r;
-    r.instance = Instance::view(t);
-    r.options = opts;
-    reqs.push_back(std::move(r));
+    reqs.push_back(SolveRequest{Instance::view(t), {}, {}});
   }
-  tok.cancel(util::CancelToken::Reason::kCancelled);
-  Solver solver(opts);
-  const auto results = solver.solve_batch(reqs);
+  SolveOptions native;
+  native.backend = Backend::Native;
+  reqs[2].options = native;
+  reqs.front().cancel = tok;
+  service::BatchOutcome outcome;
+  const auto results = service::solve_batch_fused(
+      reqs, SolveOptions{}, service::BatchConfig{},
+      [&tok](const SolveRequest& r, const SolveOptions& o) {
+        const SolveResult res = Solver().solve(r.instance, r.label, o);
+        tok->cancel(util::CancelToken::Reason::kCancelled);
+        return res;
+      },
+      exec::Arena::for_this_thread(), &outcome);
   ASSERT_EQ(results.size(), reqs.size());
-  for (const auto& res : results) {
-    EXPECT_FALSE(res.ok);
-    EXPECT_EQ(res.error, util::kCancelledMsg);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(results[i].ok) << i << ": " << results[i].error;
   }
+  for (std::size_t i = 3; i < 5; ++i) {
+    EXPECT_FALSE(results[i].ok) << i;
+    EXPECT_EQ(results[i].error, util::kCancelledMsg) << i;
+  }
+  EXPECT_EQ(outcome.packed_solves, 2u);
 }
 
 // ------------------------------------------------------ Service watchdog
@@ -255,7 +336,6 @@ TEST(WatchdogService, DeadlineTripsMidSolveNotJustAtAdmission) {
   Service::Options sopts;
   sopts.workers = 1;
   sopts.use_cache = false;
-  sopts.use_express = false;
   sopts.solve.backend = Backend::Native;
   Service svc(sopts);
   const Cotree t = testing::random_cotree(600, 31007);
@@ -280,7 +360,6 @@ TEST(WatchdogService, SilentWorkerIsTrippedWithinTheInterval) {
   Service::Options sopts;
   sopts.workers = 1;
   sopts.use_cache = false;
-  sopts.use_express = false;
   sopts.watchdog_ms = 50;
   sopts.solve.backend = Backend::Native;
   Service svc(sopts);
@@ -318,7 +397,6 @@ TEST(WatchdogService, BeatingSolvesAreNeverTripped) {
   Service::Options sopts;
   sopts.workers = 2;
   sopts.use_cache = false;
-  sopts.use_express = false;  // keep solves on the checkpointed pipeline
   sopts.watchdog_ms = 40;
   sopts.solve.backend = Backend::Native;
   Service svc(sopts);

@@ -39,11 +39,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -96,12 +98,65 @@ std::uint64_t counter(const proto::Response& resp, std::string_view key) {
   return 0;
 }
 
-// Plug-in backends for deadline/ordering control. 212 sleeps on large
-// instances (occupies a worker deterministically); 213 counts invocations
-// (proves a shed request was never solved).
+/// Polls the server's Stats counter `key` until it reaches `value`.
+bool wait_for_counter(net::Client& observer, std::string_view key,
+                      std::uint64_t value) {
+  for (int spin = 0; spin < 1500; ++spin) {
+    if (counter(observer.stats(), key) >= value) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
+// Plug-in backends for deadline/ordering control. 212 blocks on large
+// instances while a test holds the sleepy gate (occupies a worker until the
+// test releases it); 213 counts invocations (proves a shed request was
+// never solved).
 constexpr std::uint8_t kSleepyBackend = 212;
 constexpr std::uint8_t kCountingBackend = 213;
 std::atomic<std::uint64_t> g_counting_solves{0};
+
+/// The gate chaos-sleepy solves wait on. Open unless a test holds it.
+class SleepyGate {
+ public:
+  void hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !held_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;  // guarded by mu_
+};
+
+SleepyGate& sleepy_gate() {
+  static SleepyGate gate;
+  return gate;
+}
+
+/// Holds the sleepy gate for one test. release() lets the blocked solves
+/// finish; the destructor releases too, so a failed assertion cannot leave
+/// a worker blocked and hang the server's teardown.
+class SleepyHold {
+ public:
+  SleepyHold() { sleepy_gate().hold(); }
+  ~SleepyHold() { release(); }
+  SleepyHold(const SleepyHold&) = delete;
+  SleepyHold& operator=(const SleepyHold&) = delete;
+  void release() { sleepy_gate().release(); }
+};
 
 core::BackendOutput singleton_cover(const Cotree& t) {
   core::BackendOutput out;
@@ -116,9 +171,7 @@ void ensure_backends() {
     BackendRegistry::instance().add(
         static_cast<Backend>(kSleepyBackend), "chaos-sleepy",
         [](const Cotree& t, const core::BackendConfig&) {
-          if (t.vertex_count() >= 16) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-          }
+          if (t.vertex_count() >= 16) sleepy_gate().wait();
           return singleton_cover(t);
         },
         /*exact=*/false);
@@ -274,6 +327,7 @@ TEST(ResilienceDeadline, ExpiredQueuedRequestIsShedAndNeverSolved) {
   Service::Options o;
   o.workers = 1;  // one worker: the sleepy job blocks the queue
   Service svc(o);
+  SleepyHold hold;
 
   SolveOptions slow_opts;
   slow_opts.backend = static_cast<Backend>(kSleepyBackend);
@@ -281,7 +335,7 @@ TEST(ResilienceDeadline, ExpiredQueuedRequestIsShedAndNeverSolved) {
   count_opts.backend = static_cast<Backend>(kCountingBackend);
   g_counting_solves.store(0, std::memory_order_relaxed);
 
-  // The sleepy request occupies the only worker for ~250ms; the doomed
+  // The sleepy request occupies the only worker until released; the doomed
   // request's 40ms budget expires while it sits in the queue.
   auto slow = svc.submit(SolveRequest{
       Instance::text(testing::random_cotree(64, 1).format()), slow_opts,
@@ -289,6 +343,10 @@ TEST(ResilienceDeadline, ExpiredQueuedRequestIsShedAndNeverSolved) {
   auto doomed = svc.submit(SolveRequest{
       Instance::text(testing::random_cotree(20, 2).format()), count_opts,
       {}, 40});
+  // Only a lower bound matters: once 40ms have passed, the doomed request
+  // is expired whenever the worker reaches it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  hold.release();
 
   const SolveResult slow_res = slow.get();
   EXPECT_TRUE(slow_res.ok) << slow_res.error;
@@ -308,6 +366,7 @@ TEST(ResilienceDeadline, ExpiredBatchIsShedPerSlot) {
   Service::Options o;
   o.workers = 1;
   Service svc(o);
+  SleepyHold hold;
 
   SolveOptions slow_opts;
   slow_opts.backend = static_cast<Backend>(kSleepyBackend);
@@ -322,6 +381,8 @@ TEST(ResilienceDeadline, ExpiredBatchIsShedPerSlot) {
         {}, {}, 30});
   }
   auto doomed = svc.submit_batch(std::move(batch));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // > 30ms
+  hold.release();
 
   EXPECT_TRUE(slow.get().ok);
   const std::vector<SolveResult> results = doomed.get();
@@ -343,6 +404,8 @@ TEST(ResilienceDeadline, DeadlineExceededTravelsTheWire) {
   std::thread loop([&server] { server->run(); });
   {
     net::Client cli("127.0.0.1", server->port());
+    net::Client observer("127.0.0.1", server->port());
+    SleepyHold hold;
     proto::WireOptions slow_opts;
     slow_opts.flags = proto::kOptWantVerdicts | proto::kOptExplicitBackend;
     slow_opts.backend = kSleepyBackend;
@@ -351,6 +414,11 @@ TEST(ResilienceDeadline, DeadlineExceededTravelsTheWire) {
     const std::uint64_t doomed_seq = cli.send_solve_text(
         testing::random_cotree(8, 6).format(), {}, /*deadline_ms=*/50);
     cli.flush();
+    // The doomed request's budget starts at admission: wait until it is
+    // queued, then until its 50ms have certainly passed.
+    ASSERT_TRUE(wait_for_counter(observer, "queue_depth", 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    hold.release();
 
     const proto::Response first = cli.recv();
     const proto::Response second = cli.recv();
@@ -428,6 +496,7 @@ TEST(ResilienceOverload, BatchRetryMatchesTheSingleSolveConvenience) {
   {
     net::Client cli("127.0.0.1", server->port());
     net::Client observer("127.0.0.1", server->port());
+    SleepyHold hold;
     proto::WireOptions slow_opts;
     slow_opts.flags = proto::kOptWantVerdicts | proto::kOptExplicitBackend;
     slow_opts.backend = kSleepyBackend;
@@ -459,13 +528,20 @@ TEST(ResilienceOverload, BatchRetryMatchesTheSingleSolveConvenience) {
     EXPECT_EQ(refused.status, Status::Overloaded);
 
     // A retrying client rides through the refusals and lands the batch
-    // once the sleepy pipeline drains a queue slot.
+    // once the sleepy pipeline drains a queue slot: the gate opens only
+    // after the server has refused the retrying client at least once.
+    const std::uint64_t refusals = counter(observer.stats(), "parked_refused");
+    std::jthread opener([&observer, &hold, refusals] {
+      (void)wait_for_counter(observer, "parked_refused", refusals + 1);
+      hold.release();
+    });
     net::Client::Config cfg;
     cfg.retry.max_attempts = 10;
     cfg.retry.base_delay_ms = 40;
     cfg.retry.max_delay_ms = 80;
     net::Client retrying("127.0.0.1", server->port(), cfg);
     const proto::Response ok = retrying.solve_batch(items);
+    opener.join();
     EXPECT_EQ(ok.status, Status::Ok) << ok.error;
     ASSERT_EQ(ok.batch.size(), 2u);
     for (const auto& item : ok.batch) {
@@ -491,6 +567,7 @@ TEST(ResilienceOverload, ParkingDisabledRefusesOverloadedAtQueueFull) {
   {
     net::Client cli("127.0.0.1", server->port());
     net::Client observer("127.0.0.1", server->port());
+    SleepyHold hold;
     proto::WireOptions slow_opts;
     slow_opts.flags = proto::kOptWantVerdicts | proto::kOptExplicitBackend;
     slow_opts.backend = kSleepyBackend;
@@ -523,6 +600,7 @@ TEST(ResilienceOverload, ParkingDisabledRefusesOverloadedAtQueueFull) {
     EXPECT_EQ(refused.status, Status::Overloaded);
 
     // The occupied pipeline still completes in order of completion.
+    hold.release();
     const proto::Response r1 = cli.recv();
     const proto::Response r2 = cli.recv();
     EXPECT_EQ(r1.seq, busy_seq);
@@ -840,16 +918,6 @@ TEST(ResilienceStress, EveryRequestIsAnsweredExactlyOnceUnderChurn) {
 
 // --------------------------------------------------------- ChaosWatchdog
 
-/// Polls the server's Stats counter `key` until it reaches `value`.
-bool wait_for_counter(net::Client& observer, std::string_view key,
-                      std::uint64_t value) {
-  for (int spin = 0; spin < 1500; ++spin) {
-    if (counter(observer.stats(), key) >= value) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return false;
-}
-
 TEST(ChaosWatchdog, StalledSolveIsFreedWithinOneIntervalNotTheStallCap) {
   // The headline watchdog drill over the wire: a solve that stops
   // heartbeating (injected solve.stall) past --watchdog-ms gets its token
@@ -960,6 +1028,7 @@ TEST(ChaosCancel, QueuedRequestIsCancelledBeforeItEverRuns) {
   {
     net::Client cli("127.0.0.1", server->port());
     net::Client observer("127.0.0.1", server->port());
+    SleepyHold hold;
     proto::WireOptions slow;
     slow.flags = proto::kOptWantVerdicts | proto::kOptExplicitBackend;
     slow.backend = kSleepyBackend;
@@ -981,14 +1050,19 @@ TEST(ChaosCancel, QueuedRequestIsCancelledBeforeItEverRuns) {
     const std::uint64_t cseq = cli.send_cancel(queued_seq);
     cli.flush();
 
+    // While the gate holds the busy solve, the only possible answer is the
+    // cancel's ack — after it the queued request's token has tripped.
+    const proto::Response ack = cli.recv();
+    EXPECT_EQ(ack.seq, cseq);
+    EXPECT_EQ(ack.status, Status::Ok);
+    hold.release();
+
     bool saw_cancelled = false;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       const proto::Response r = cli.recv();
       if (r.seq == queued_seq) {
         EXPECT_EQ(r.status, Status::Cancelled) << r.error;
         saw_cancelled = true;
-      } else if (r.seq == cseq) {
-        EXPECT_EQ(r.status, Status::Ok);
       } else {
         EXPECT_EQ(r.seq, busy_seq);
         EXPECT_EQ(r.status, Status::Ok);
@@ -1053,6 +1127,7 @@ TEST(ChaosCancelStorm, EverySolveAnswersExactlyOnceUnderRacingCancels) {
   std::thread loop([&server] { server->run(); });
   {
     net::Client cli("127.0.0.1", server->port());
+    SleepyHold hold;
     proto::WireOptions slow;
     slow.flags = proto::kOptWantVerdicts | proto::kOptExplicitBackend;
     slow.backend = kSleepyBackend;
@@ -1068,6 +1143,7 @@ TEST(ChaosCancelStorm, EverySolveAnswersExactlyOnceUnderRacingCancels) {
       cancel_seqs.push_back(cli.send_cancel(seq));
     }
     cli.flush();
+    hold.release();  // the completions now race the cancels
 
     std::map<std::uint64_t, proto::Response> by_seq;
     for (unsigned i = 0; i < 2 * kJobs; ++i) {
@@ -1112,6 +1188,8 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);  // dead peers are errors, not signals
   if (std::getenv("COPATH_CHAOS_SERVER") != nullptr) {
     copath::ensure_backends();  // the kill -9 drill solves on backend 212
+    // Never released: a sleepy solve stays in flight until the kill.
+    copath::sleepy_gate().hold();
     copath::net::Server::Options opts;
     opts.port = static_cast<std::uint16_t>(
         std::atoi(std::getenv("COPATH_CHAOS_PORT")));

@@ -334,7 +334,7 @@ TEST(NativeBackend, RandomBatchOf120MatchesPramInstanceByInstance) {
 
   SolveOptions nopt;
   nopt.backend = Backend::Native;
-  nopt.workers = 0;  // hardware; solve_batch clamps to the budget
+  nopt.workers = 0;  // solve_batch runs each instance with one worker
   nopt.batch_workers = 3;
   Solver nsolver(nopt);
   const auto nres = nsolver.solve_batch(reqs);

@@ -3,7 +3,7 @@
 // deep-spine inputs past the old recursion depth), the binary canonical
 // signature (injectivity via an actual decoder, twin/distinct properties),
 // the express lane (bitwise-equal to the generic dispatch path, claims no
-// native-thread lease), and the whole-request allocation regression: warm
+// thread lease), and the whole-request allocation regression: warm
 // Service requests perform zero arena-fresh allocations, proven by the
 // instrumented arena counters the Service aggregates per worker. The CI
 // ASan job runs this suite with leak detection on.
@@ -313,26 +313,21 @@ TEST(ExpressLane, BitwiseEqualToTheGenericDispatchPath) {
   }
 }
 
-TEST(ExpressLane, EligibilityFollowsTheCostModelFloor) {
-  SolveOptions seq;
-  seq.backend = Backend::Sequential;
-  EXPECT_TRUE(service::express_eligible(1, seq));
-  EXPECT_TRUE(service::express_eligible(std::size_t{1} << 22, seq));
-
-  SolveOptions ada;
-  ada.backend = Backend::Adaptive;
-  const auto floor_n = core::CostModel::calibrated().min_native_n;
-  EXPECT_TRUE(service::express_eligible(floor_n - 1, ada));
-  EXPECT_FALSE(service::express_eligible(floor_n, ada));
-
-  static core::CostModel forced;  // must outlive the options
-  forced.min_native_n = 0;
-  ada.cost_model = &forced;
-  EXPECT_FALSE(service::express_eligible(4, ada));
-
-  SolveOptions native;
-  native.backend = Backend::Native;
-  EXPECT_FALSE(service::express_eligible(4, native));
+TEST(ExpressLane, EligibleForEveryHostSweepRequest) {
+  for (const Backend b : {Backend::Sequential, Backend::Adaptive}) {
+    SolveOptions opts;
+    opts.backend = b;
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{1} << 14, std::size_t{1} << 22}) {
+      EXPECT_TRUE(service::express_eligible(n, opts))
+          << core::to_string(b) << " n=" << n;
+    }
+  }
+  for (const Backend b : {Backend::Native, Backend::Pram, Backend::Parallel}) {
+    SolveOptions opts;
+    opts.backend = b;
+    EXPECT_FALSE(service::express_eligible(4, opts)) << core::to_string(b);
+  }
 }
 
 TEST(ExpressLane, StructuredFailuresOnBadInstances) {
@@ -364,47 +359,14 @@ TEST(ExpressLane, ServiceSmallRequestsClaimNoNativeThreadLease) {
   EXPECT_EQ(stats.express_solves, stats.cache_misses);
   EXPECT_GT(stats.express_solves, 0u);
 
-  // Forcing the generic path (a model whose floor is 0 makes Adaptive
-  // ineligible) claims leases again.
-  static core::CostModel no_floor;
-  no_floor.min_native_n = 0;
-  SolveOptions generic = sopts.solve;
-  generic.cost_model = &no_floor;
-  const Cotree big = testing::random_cotree(60, 1);  // outlives the worker
-  auto f =
-      svc.submit(SolveRequest{Instance::view(big), generic, "generic"});
+  // An explicit Native request takes the generic path, still lease-free.
+  SolveOptions native = sopts.solve;
+  native.backend = Backend::Native;
+  const Cotree t = testing::random_cotree(60, 1);  // outlives the worker
+  auto f = svc.submit(SolveRequest{Instance::view(t), native, "native"});
   ASSERT_TRUE(f.get().ok);
-  EXPECT_GE(svc.stats().lease_acquires, 1u);
-}
-
-TEST(ExpressLane, ServiceDifferentialWithExpressDisabled) {
-  // The lane is an optimization, not a semantic: the same traffic with
-  // use_express off must produce bitwise-identical results.
-  std::vector<std::string> texts;
-  for (unsigned i = 0; i < 40; ++i) {
-    texts.push_back(testing::random_cotree(1 + (i * 19) % 120, 300 + i)
-                        .format());
-  }
-  std::vector<SolveResult> with, without;
-  for (const bool express : {true, false}) {
-    Service::Options sopts;
-    sopts.workers = 2;
-    sopts.use_express = express;
-    Service svc(sopts);
-    std::vector<std::future<SolveResult>> futs;
-    futs.reserve(texts.size());
-    for (const auto& text : texts) {
-      futs.push_back(svc.submit(SolveRequest{Instance::text(text), {}, {}}));
-    }
-    auto& out = express ? with : without;
-    for (auto& f : futs) out.push_back(f.get());
-    const auto stats = svc.stats();
-    EXPECT_EQ(stats.express_solves > 0, express);
-  }
-  ASSERT_EQ(with.size(), without.size());
-  for (std::size_t i = 0; i < with.size(); ++i) {
-    expect_equal_results(with[i], without[i], "req " + std::to_string(i));
-  }
+  EXPECT_EQ(svc.stats().express_solves, stats.express_solves);
+  EXPECT_EQ(svc.stats().lease_acquires, 0u);
 }
 
 // ------------------------------------------------- the sequential kernel
@@ -415,11 +377,11 @@ TEST(SolveKernel, SolverHostSweepBinarizesOnce) {
   // cover and every verdict. A second binarization (a verdict helper
   // re-deriving the tree) adds a whole binarize + leftist set of acquires.
   exec::Arena& arena = exec::Arena::for_this_thread();
-  const std::size_t floor_n = core::CostModel::calibrated().min_native_n;
+  const std::size_t big = std::size_t{1} << 14;
   for (const auto& [backend, n] :
        {std::pair{Backend::Sequential, std::size_t{300}},
-        std::pair{Backend::Sequential, floor_n},
-        std::pair{Backend::Adaptive, floor_n}}) {
+        std::pair{Backend::Sequential, big},
+        std::pair{Backend::Adaptive, big}}) {
     const std::string what =
         std::string(core::to_string(backend)) + " n=" + std::to_string(n);
     const Cotree t = testing::random_cotree(n, 5150 + n);

@@ -310,12 +310,12 @@ TEST(Service, PermutedAndRelabeledTwinsHitTheCacheAndStaySound) {
   EXPECT_GE(svc.stats().cache_hits, expected_hits);
 }
 
-/// The fields a default (Adaptive) Service answer shares with a direct
-/// Backend::Sequential solve, plus the Adaptive routing metadata.
+/// The fields a default Service answer shares with a direct
+/// Backend::Sequential solve, plus the routing metadata.
 void expect_sequential_answer(const SolveResult& got, const SolveResult& want,
                               const std::string& what) {
   ASSERT_TRUE(got.ok) << what << ": " << got.error;
-  EXPECT_EQ(got.backend, Backend::Adaptive) << what;
+  EXPECT_EQ(got.backend, Backend::Sequential) << what;
   EXPECT_EQ(got.routed, Backend::Sequential) << what;
   EXPECT_EQ(got.vertex_count, want.vertex_count) << what;
   EXPECT_EQ(got.cover.paths, want.cover.paths) << what;
@@ -328,7 +328,7 @@ void expect_sequential_answer(const SolveResult& got, const SolveResult& want,
 /// An isomorphic twin of `t` with every child list shuffled, numbered in
 /// the shuffled DFS order through Cotree::from_parts, so vertex labels move
 /// with the shuffle. Iterative: testing::random_twin goes through the
-/// recursive CotreeBuilder, too deep for a caterpillar at the floor.
+/// recursive CotreeBuilder, too deep for a caterpillar at n = 2^14.
 Cotree shuffled_twin(const Cotree& t, util::Rng& rng) {
   std::vector<cograph::NodeKind> kind;
   std::vector<cograph::NodeId> parent;
@@ -356,16 +356,15 @@ Cotree shuffled_twin(const Cotree& t, util::Rng& rng) {
 }
 
 TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
-  // At and above the Adaptive floor the Service skips the express lane and
-  // solves under a thread lease through Solver::solve, which runs the
-  // sequential kernel whenever the cost model routes to the host sweep.
-  // Every answer must match a direct Backend::Sequential solve — with the
-  // cache off, on a cold cache miss, and on a warm hit replayed to a
-  // permuted twin — and every above-floor miss claims exactly one lease.
-  const std::size_t floor_n = core::CostModel::calibrated().min_native_n;
+  // At n >= 2^14 a default Service miss runs the sequential kernel inline
+  // on the express lane, like every smaller one. Every answer must match a
+  // direct Backend::Sequential solve — with the cache off, on a cold cache
+  // miss, and on a warm hit replayed to a permuted twin — and no miss
+  // claims a thread lease.
+  const std::size_t big = std::size_t{1} << 14;
   const Solver sequential;  // Backend::Sequential defaults
   util::Rng rng(1414);
-  for (const std::size_t n : {floor_n, floor_n + 1, 2 * floor_n}) {
+  for (const std::size_t n : {big, big + 1, 2 * big}) {
     std::vector<Cotree> shapes;
     shapes.push_back(testing::random_cotree(n, 14000 + n));
     shapes.push_back(cograph::caterpillar(n));
@@ -387,8 +386,8 @@ TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
         const SolveResult got =
             svc.submit(SolveRequest{base, {}, "off"}).get();
         expect_sequential_answer(got, want, what + " cache off");
-        EXPECT_EQ(svc.stats().lease_acquires, 1u) << what;
-        EXPECT_EQ(svc.stats().express_solves, 0u) << what;
+        EXPECT_EQ(svc.stats().lease_acquires, 0u) << what;
+        EXPECT_EQ(svc.stats().express_solves, 1u) << what;
       }
 
       Service::Options sopts;
@@ -397,10 +396,10 @@ TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
       const SolveResult cold =
           svc.submit(SolveRequest{base, {}, "cold"}).get();
       expect_sequential_answer(cold, want, what + " cold");
-      EXPECT_EQ(svc.stats().lease_acquires, 1u) << what;
+      EXPECT_EQ(svc.stats().express_solves, 1u) << what;
 
       // The twin hits the cache: the stored canonical-space answer replayed
-      // through the twin's own permutation, with no second lease.
+      // through the twin's own permutation, with no second solve.
       const SolveResult warm =
           svc.submit(SolveRequest{twin_inst, {}, "warm"}).get();
       const SolveResult replayed = service::remapped_from_canonical(
@@ -413,9 +412,9 @@ TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
                       .ok)
           << what;
       const auto stats = svc.stats();
-      EXPECT_EQ(stats.lease_acquires, 1u) << what;
+      EXPECT_EQ(stats.lease_acquires, 0u) << what;
       EXPECT_EQ(stats.cache_hits, 1u) << what;
-      EXPECT_EQ(stats.express_solves, 0u) << what;
+      EXPECT_EQ(stats.express_solves, 1u) << what;
     }
   }
 }
@@ -469,7 +468,7 @@ TEST(Service, DisablingTheCacheStillServesCorrectly) {
   sopts.workers = 2;
   sopts.use_cache = false;
   Service svc(sopts);
-  // The serving default is Backend::Adaptive — mirror it in the reference.
+  // Mirror the serving default (Backend::Sequential) in the reference.
   const Solver reference(sopts.solve);
   for (unsigned i = 0; i < 10; ++i) {
     const Cotree t = testing::random_cotree(1 + i * 5, 313 + i);

@@ -7,7 +7,6 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_budget.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -134,74 +133,6 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     pool.parallel_for(0, 10, [&](std::size_t) { ++total; });
   }
   EXPECT_EQ(total.load(), 500);
-}
-
-TEST(ThreadBudgeter, DistributesRemainderToEarliestStarters) {
-  // pool = 8, 3 concurrent requests: the old floor(8/3) = 2/2/2 stranded
-  // two threads; ceil distribution hands out 3/3/2.
-  ThreadBudgeter b(8);
-  const auto l0 = b.acquire(3);
-  const auto l1 = b.acquire(2);
-  const auto l2 = b.acquire(1);
-  EXPECT_EQ(l0.threads, 3u);
-  EXPECT_EQ(l1.threads, 3u);
-  EXPECT_EQ(l2.threads, 2u);
-  b.release(l0);
-  b.release(l1);
-  b.release(l2);
-}
-
-TEST(ThreadBudgeter, SaturatedPoolGrantsAtLeastOne) {
-  ThreadBudgeter b(4);
-  std::vector<ThreadBudgeter::Lease> leases;
-  for (int i = 0; i < 6; ++i) leases.push_back(b.acquire(4));
-  // First four drain the pool one each; the extra two get the floor of 1.
-  for (const auto& l : leases) EXPECT_EQ(l.threads, 1u);
-  for (auto& l : leases) b.release(l);
-  // Fully released: a lone request reclaims the whole pool.
-  const auto big = b.acquire(1);
-  EXPECT_EQ(big.threads, 4u);
-  b.release(big);
-}
-
-TEST(ThreadBudgeter, RebalancesAsRequestsComplete) {
-  ThreadBudgeter b(8);
-  auto early = b.acquire(8);  // heavy batch: budget 1
-  EXPECT_EQ(early.threads, 1u);
-  auto mid = b.acquire(8);
-  EXPECT_EQ(mid.threads, 1u);
-  b.release(early);
-  b.release(mid);
-  // Straggler tail: two requests left split the whole pool.
-  const auto tail0 = b.acquire(2);
-  const auto tail1 = b.acquire(1);
-  EXPECT_EQ(tail0.threads, 4u);
-  EXPECT_EQ(tail1.threads, 4u);
-  b.release(tail0);
-  b.release(tail1);
-}
-
-TEST(ThreadBudgeter, ConcurrentClaimsNeverOversubscribeBeyondFloor) {
-  // Hammer from a pool: the sum of simultaneous grants must never exceed
-  // pool + (#requests with the floor-of-1 grant), i.e. claims conserve.
-  ThreadBudgeter b(6);
-  ThreadPool pool(4);
-  std::atomic<long> in_use{0};
-  std::atomic<long> peak{0};
-  pool.parallel_for(0, 64, [&](std::size_t) {
-    const auto lease = b.acquire(4);
-    const long now =
-        in_use.fetch_add(static_cast<long>(lease.threads)) +
-        static_cast<long>(lease.threads);
-    long p = peak.load();
-    while (now > p && !peak.compare_exchange_weak(p, now)) {
-    }
-    b.release(lease);
-    in_use.fetch_sub(static_cast<long>(lease.threads));
-  });
-  EXPECT_EQ(in_use.load(), 0);
-  // 4 concurrent claimants, each guaranteed >= 1: peak <= pool + 4.
-  EXPECT_LE(peak.load(), 6 + 4);
 }
 
 TEST(Table, AlignsAndRendersAllCellTypes) {
