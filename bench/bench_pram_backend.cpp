@@ -57,11 +57,6 @@ void backend_table() {
            core::probe_scan_substrate(n, probe_config(n, checked, workers)));
     }
   }
-  // The exec-layer escape hatch: the same scan on exec::Native (its stats
-  // count phases, not simulated cost — the wall-time column is the point).
-  for (const std::size_t workers : {1u, 2u}) {
-    emit("native", workers, core::probe_scan_native(n, workers));
-  }
   t.print(std::cout);
   std::cout << std::endl;
 }

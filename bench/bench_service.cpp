@@ -2,7 +2,7 @@
 //
 // The acceptance claim for the service PR: warm-cache solve on repeated or
 // permuted/relabeled instances is >= 5x faster than the cold path (a hit
-// pays canonicalization + a cover remap instead of the full pipeline), and
+// pays canonicalization + a cover remap instead of the solve), and
 // a duplicate-heavy concurrent burst computes once instead of N times.
 // Run with --json to write BENCH_service.json for the perf trajectory.
 #include <benchmark/benchmark.h>
@@ -50,8 +50,8 @@ void cold_vs_warm_table() {
       twin_batch.push_back(testing::random_twin(cold_batch.back(), twin_rng));
     }
     Service::Options sopts;
-    sopts.solve.backend = Backend::Native;  // the production engine
-    sopts.solve.compute_verdicts = false;   // time the engine + cache alone
+    // The Service default backend (Sequential): the engine that serves.
+    sopts.solve.compute_verdicts = false;  // time the engine + cache alone
     sopts.workers = 2;
     sopts.cache.capacity = 1024;
     Service svc(sopts);
@@ -101,7 +101,6 @@ void coalescing_table() {
     const std::vector<Cotree> burst(kRequests, t);
     const auto run = [&](bool use_cache) {
       Service::Options sopts;
-      sopts.solve.backend = Backend::Native;
       sopts.solve.compute_verdicts = false;
       sopts.workers = 4;
       sopts.use_cache = use_cache;
@@ -145,8 +144,7 @@ void overhead_table() {
     for (std::size_t i = 0; i < kBatch; ++i) {
       batch.push_back(testing::random_cotree(n, 660000 + lg * 100 + i));
     }
-    SolveOptions solve;
-    solve.backend = Backend::Native;
+    SolveOptions solve;  // Backend::Sequential, the Service default
     solve.compute_verdicts = false;
     util::WallTimer timer;
     const Solver solver(solve);

@@ -28,10 +28,8 @@
 //                                                       plug-in registration
 //   cograph::Cotree / CotreeBuilder / parse-format      the input language
 //   cograph::Graph, recognize_cograph                   graph-side substrate
-//   exec::CheckedPram / exec::Native / exec::Traits     execution substrates
-//                                                       (checked simulator
-//                                                       vs direct memory)
 //   pram::Machine / Policy / Stats                      the PRAM simulator
+//                                                       the pipeline runs on
 //
 // Compatibility layer (free functions predating the Solver facade; they
 // delegate to the same engines and remain supported):
@@ -60,8 +58,6 @@
 #include "core/pipeline.hpp"
 #include "core/reference.hpp"
 #include "core/sequential.hpp"
-#include "exec/checked_pram.hpp"
-#include "exec/native.hpp"
 #include "pram/array.hpp"
 #include "pram/machine.hpp"
 #include "service/express.hpp"

@@ -184,8 +184,8 @@ std::vector<SolveResult> Solver::solve_batch(
 
   // Route: host-sweep instances go through the fused dedup core on the
   // calling thread — per-request fan-out overhead beats the actual solve
-  // there. Everything else (PRAM/native backends, unresolvable instances)
-  // runs on the pool.
+  // there. Everything else (PRAM backends, unresolvable instances) runs on
+  // the pool.
   std::vector<std::size_t> sweep, pooled;
   sweep.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -265,18 +265,9 @@ CountResult Solver::count(const SolveRequest& req) const {
       p = core::path_counts_pram(m, bc, leaf_count);
       res.stats = m.stats();
       res.stats_valid = true;
-    } else if (core::uses_native_executor(opts.backend)) {
-      core::BackendConfig cfg;
-      cfg.workers = opts.workers;
-      cfg.processors = opts.processors;
-      exec::Native ex(core::native_config(cfg));
-      p = core::path_counts_exec(ex, bc, leaf_count);
-      // Native stats count phases, not simulated cost: stats_valid stays
-      // false, but the counters are handed back for inspection.
-      res.stats = ex.stats();
     } else {
-      // Host post-order sweep (Sequential, its alias Adaptive, and every
-      // non-machine backend).
+      // Host post-order sweep (Sequential, its aliases Native and
+      // Adaptive, and every non-machine backend).
       p = core::path_counts_host(bc, leaf_count);
     }
     res.wall_ms = timer.millis();

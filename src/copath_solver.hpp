@@ -13,8 +13,8 @@
 //   auto res = solver.solve({copath::Instance::text("(* (+ a b) c)")});
 //   // res.cover, res.optimal_size, res.hamiltonian_path, ...
 //
-// Host-sweep requests (Backend::Sequential and its alias Backend::Adaptive)
-// run the sequential solve kernel (service/express.hpp) inline; every
+// Host-sweep requests (Backend::Sequential and its aliases Backend::Native
+// and Backend::Adaptive) run the sequential solve kernel (service/express.hpp) inline; every
 // other backend dispatches through core::BackendRegistry
 // (core/backend.hpp), so new engines plug in without touching callers.
 // Solver::solve_batch runs host-sweep requests through the fused batch
@@ -166,9 +166,9 @@ class Instance {
 /// that do not use a PRAM machine.
 struct SolveOptions {
   Backend backend = Backend::Sequential;
-  /// Physical worker threads for PRAM machines (1 = inline execution). For
-  /// Backend::Native, 0 selects hardware concurrency. solve_batch runs
-  /// every non-host-sweep request with 1 (see solve_batch).
+  /// Physical worker threads for PRAM machines (0 and 1 = inline
+  /// execution). solve_batch runs every non-host-sweep request with 1 (see
+  /// solve_batch).
   std::size_t workers = 1;
   /// Virtual processor budget; 0 = the paper's n / log2(n).
   std::size_t processors = 0;
@@ -194,8 +194,8 @@ struct SolveOptions {
   /// overrides are ignored — the pool is shared across the whole batch and
   /// reused for the Solver's lifetime).
   std::size_t batch_workers = 0;
-  /// Cooperative cancellation token, polled at pipeline stage boundaries
-  /// and inside Native's pfor chunks (see util/cancel.hpp). Borrowed: must
+  /// Cooperative cancellation token, polled before every solve and at
+  /// each pipeline stage boundary (see util/cancel.hpp). Borrowed: must
   /// outlive the solve. When it trips, the solve unwinds into a failed
   /// SolveResult whose error is util::kCancelledMsg or util::kDeadlineMsg.
   /// Excluded from cache keys (it never changes the computed answer).
@@ -233,7 +233,8 @@ struct SolveResult {
   std::string label;
   Backend backend = Backend::Sequential;
   /// The engine that actually ran: equal to `backend`, except that
-  /// Backend::Adaptive answers report Sequential (the kernel they ran).
+  /// Backend::Native and Backend::Adaptive answers report Sequential (the
+  /// kernel they ran).
   Backend routed = Backend::Sequential;
 
   std::size_t vertex_count = 0;

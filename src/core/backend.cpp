@@ -7,10 +7,9 @@
 #include "baseline/greedy.hpp"
 #include "baseline/naive_parallel.hpp"
 #include "cograph/graph.hpp"
-#include "core/pipeline_exec.hpp"
+#include "core/pipeline.hpp"
 #include "core/reference.hpp"
 #include "core/sequential.hpp"
-#include "exec/native.hpp"
 #include "par/scan.hpp"
 #include "pram/array.hpp"
 #include "util/math.hpp"
@@ -59,18 +58,9 @@ bool uses_pram_machine(Backend b) {
          b == Backend::NaiveParallel;
 }
 
-bool uses_native_executor(Backend b) { return b == Backend::Native; }
-
 bool is_host_sweep(Backend b) {
-  return b == Backend::Sequential || b == Backend::Adaptive;
-}
-
-exec::Native::Config native_config(const BackendConfig& cfg) {
-  exec::Native::Config nc;
-  nc.workers = cfg.workers;      // 0 = hardware concurrency
-  nc.processors = cfg.processors;  // 0 = one block per worker
-  nc.cancel = cfg.cancel;
-  return nc;
+  return b == Backend::Sequential || b == Backend::Native ||
+         b == Backend::Adaptive;
 }
 
 BackendConfig apply_backend_contract(Backend b, BackendConfig cfg) {
@@ -83,10 +73,9 @@ BackendConfig apply_backend_contract(Backend b, BackendConfig cfg) {
 
 namespace {
 
-// Engines with no internal checkpoints (the sequential sweep, the PRAM
-// simulator's stepped runs) honor cancel once, up front: a solve whose
-// token already tripped (deadline passed while queued, client gone) is
-// refused before any work runs.
+// The sweep and the pipeline honor cancel up front: a solve whose token
+// already tripped (deadline passed while queued, client gone) is refused
+// before any work runs. The pipeline also polls it at every stage boundary.
 void checkpoint_before_solve(const BackendConfig& cfg) {
   if (cfg.cancel != nullptr) cfg.cancel->checkpoint();
 }
@@ -97,7 +86,8 @@ BackendOutput run_pram_pipeline(const cograph::Cotree& t,
   BackendOutput out;
   pram::Machine m(machine_config(t.vertex_count(), cfg));
   out.cover = min_path_cover_pram(m, t, cfg.pipeline,
-                                  cfg.collect_trace ? &out.trace : nullptr);
+                                  cfg.collect_trace ? &out.trace : nullptr,
+                                  cfg.cancel);
   out.stats = m.stats();
   out.used_pram = true;
   out.traced = cfg.collect_trace;
@@ -109,19 +99,6 @@ BackendOutput run_parallel(const cograph::Cotree& t,
   // The historical min_path_cover_parallel contract: EREW, paper budget.
   // Worker count, trace flag, and pipeline knobs still pass through.
   return run_pram_pipeline(t, apply_backend_contract(Backend::Parallel, cfg));
-}
-
-BackendOutput run_native(const cograph::Cotree& t,
-                         const BackendConfig& cfg) {
-  BackendOutput out;
-  exec::Native ex(native_config(cfg));
-  out.cover = min_path_cover_exec(ex, t, cfg.pipeline,
-                                  cfg.collect_trace ? &out.trace : nullptr);
-  // Native stats count phases, not the simulator's cost model; hand them
-  // back for inspection but leave used_pram false so stats_valid stays off.
-  out.stats = ex.stats();
-  out.traced = cfg.collect_trace;
-  return out;
 }
 
 BackendOutput run_sequential(const cograph::Cotree& t,
@@ -186,7 +163,7 @@ BackendRegistry::BackendRegistry() {
   add(Backend::NaiveParallel, to_string(Backend::NaiveParallel),
       run_naive_parallel);
   add(Backend::Reference, to_string(Backend::Reference), run_reference);
-  add(Backend::Native, to_string(Backend::Native), run_native);
+  add(Backend::Native, to_string(Backend::Native), run_sequential);
   add(Backend::Adaptive, to_string(Backend::Adaptive), run_sequential);
 }
 
@@ -244,19 +221,6 @@ ScanProbeResult probe_scan_substrate(std::size_t n,
   par::exclusive_scan(m, a);
   res.wall_ms = timer.millis();
   res.stats = m.stats();
-  res.checksum = a.host(n - 1);
-  return res;
-}
-
-ScanProbeResult probe_scan_native(std::size_t n, std::size_t workers) {
-  COPATH_CHECK(n > 0);
-  ScanProbeResult res;
-  exec::Native ex(exec::Native::Config{workers});
-  auto a = exec::make_array<std::int64_t>(ex, n, std::int64_t{1});
-  util::WallTimer timer;
-  par::exclusive_scan(ex, a);
-  res.wall_ms = timer.millis();
-  res.stats = ex.stats();
   res.checksum = a.host(n - 1);
   return res;
 }

@@ -22,7 +22,6 @@
 #include "cograph/cotree.hpp"
 #include "core/path_cover.hpp"
 #include "core/pipeline.hpp"
-#include "exec/native.hpp"
 #include "pram/machine.hpp"
 #include "util/cancel.hpp"
 
@@ -49,16 +48,15 @@ enum class Backend : std::uint8_t {
   NaiveParallel,
   /// The host execution of the full bracket pipeline (differential oracle).
   Reference,
-  /// Theorem 5.3's pipeline on exec::Native — the same stage code as Pram
-  /// but on direct memory with thread-pool pfor: no conflict checking, no
-  /// write buffering, no per-step barriers. An explicit opt-in (DESIGN.md §7.3 has
-  /// its measured cost against the sweep); covers are
-  /// identical to Backend::Pram (the differential suite enforces it).
+  /// An alias of Backend::Sequential, kept because wire byte 7 and
+  /// existing clients name it: the same kernel, bitwise-equal covers,
+  /// SolveResult::routed == Sequential. The cover is the sweep's — the
+  /// same size as the Theorem 5.3 pipeline's, but it may differ path by
+  /// path (DESIGN.md §7.3).
   Native,
-  /// An alias of Backend::Sequential: the same kernel, bitwise-equal
-  /// covers, SolveResult::routed == Sequential. Kept as its own id because
-  /// wire byte 8 and existing clients name it; DESIGN.md §7.3 records why
-  /// no per-request routing to Native remains behind it.
+  /// An alias of Backend::Sequential, like Native: the same kernel,
+  /// bitwise-equal covers, SolveResult::routed == Sequential. Kept as its
+  /// own id because wire byte 8 and existing clients name it.
   Adaptive,
 };
 
@@ -68,8 +66,7 @@ enum class Backend : std::uint8_t {
 /// Machine/engine tuning knobs a backend receives. Backends ignore the
 /// fields that do not apply to them (Sequential ignores everything).
 struct BackendConfig {
-  /// Physical worker threads for the PRAM machine (1 = inline). For
-  /// Backend::Native, 0 selects hardware concurrency.
+  /// Physical worker threads for the PRAM machine (0 and 1 = inline).
   std::size_t workers = 1;
   /// Virtual processor budget; 0 selects the paper's n / log2(n).
   std::size_t processors = 0;
@@ -81,8 +78,9 @@ struct BackendConfig {
   bool collect_trace = false;
   /// Cooperative cancellation token (util/cancel.hpp); nullptr = never
   /// cancelled. Borrowed — must outlive the solve. Engines that honor it
-  /// (Sequential routes check it once up front; Native checkpoints every
-  /// parallel phase) unwind with util::CancelledError when it trips.
+  /// (the sweep checks it once up front; the Theorem 5.3 pipeline polls it
+  /// at every stage boundary and repair round) unwind with
+  /// util::CancelledError when it trips.
   util::CancelToken* cancel = nullptr;
 };
 
@@ -141,18 +139,9 @@ class BackendRegistry {
 /// report meaningful pram::Stats).
 [[nodiscard]] bool uses_pram_machine(Backend b);
 
-/// True for the built-in engines that execute on exec::Native. Their stats
-/// count phases, not the simulator's cost model (stats_valid stays false).
-[[nodiscard]] bool uses_native_executor(Backend b);
-
 /// True for the backends Solver and Service run as the host sweep
-/// (service::solve_sweep): Sequential and its alias Adaptive.
+/// (service::solve_sweep): Sequential and its aliases Native and Adaptive.
 [[nodiscard]] bool is_host_sweep(Backend b);
-
-/// exec::Native configuration a Native backend derives from `cfg`
-/// (workers == 0 resolves to hardware concurrency; the processor budget
-/// defaults to one block per worker — no instance-size tuning).
-[[nodiscard]] exec::Native::Config native_config(const BackendConfig& cfg);
 
 /// Applies per-backend fixed contracts to a config: Backend::Parallel pins
 /// the historical EREW + paper-budget machine whatever the caller asked
@@ -177,10 +166,5 @@ struct ScanProbeResult {
 };
 [[nodiscard]] ScanProbeResult probe_scan_substrate(std::size_t n,
                                                    const BackendConfig& cfg);
-
-/// The same scan probe on exec::Native (workers == 0 = hardware
-/// concurrency). stats count phases; wall_ms is the point.
-[[nodiscard]] ScanProbeResult probe_scan_native(std::size_t n,
-                                                std::size_t workers = 0);
 
 }  // namespace copath::core

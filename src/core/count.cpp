@@ -1,6 +1,7 @@
 #include "core/count.hpp"
 
 #include "exec/scratch.hpp"
+#include "par/contraction.hpp"
 
 namespace copath::core {
 
@@ -68,7 +69,18 @@ CountVerdicts count_verdicts(const cograph::BinView& bc,
 std::vector<std::int64_t> path_counts_pram(
     pram::Machine& m, const cograph::BinarizedCotree& bc,
     const std::vector<std::int64_t>& leaf_count) {
-  return path_counts_exec(m, bc, leaf_count);
+  const std::size_t n = bc.size();
+  COPATH_CHECK(leaf_count.size() == n);
+  std::vector<std::int64_t> leaf_value(n, 1);
+  std::vector<PathCountPolicy::NodeOp> ops(n, {0, 0});
+  for (std::size_t v = 0; v < n; ++v) {
+    if (bc.tree.left[v] == -1) continue;
+    ops[v].is_join = bc.is_join[v];
+    ops[v].l_right =
+        leaf_count[static_cast<std::size_t>(bc.tree.right[v])];
+  }
+  return par::tree_contract_eval<PathCountPolicy>(m, bc.tree, leaf_value,
+                                                  ops);
 }
 
 CountVerdicts count_verdicts(const cograph::Cotree& t) {

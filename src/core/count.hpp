@@ -12,6 +12,7 @@
 // is exactly how Lin et al. [18] obtain Lemma 2.4.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "cograph/binarize.hpp"
 #include "cograph/cotree.hpp"
 #include "exec/arena.hpp"
-#include "par/contraction.hpp"
 #include "pram/machine.hpp"
 
 namespace copath::core {
@@ -99,29 +99,8 @@ CountVerdicts count_verdicts(const cograph::BinView& bc,
 /// Same, binarizing `t` once into the calling thread's arena.
 CountVerdicts count_verdicts(const cograph::Cotree& t);
 
-/// Executor evaluation (Lemma 2.4) — tree contraction over the max-plus
-/// affine family on any executor: O(log n) steps, O(n) work, EREW on the
-/// checked simulator; memory-speed on exec::Native.
-template <typename E>
-std::vector<std::int64_t> path_counts_exec(
-    E& m, const cograph::BinarizedCotree& bc,
-    const std::vector<std::int64_t>& leaf_count) {
-  const std::size_t n = bc.size();
-  COPATH_CHECK(leaf_count.size() == n);
-  std::vector<std::int64_t> leaf_value(n, 1);
-  std::vector<PathCountPolicy::NodeOp> ops(n, {0, 0});
-  for (std::size_t v = 0; v < n; ++v) {
-    if (bc.tree.left[v] == -1) continue;
-    ops[v].is_join = bc.is_join[v];
-    ops[v].l_right =
-        leaf_count[static_cast<std::size_t>(bc.tree.right[v])];
-  }
-  return par::tree_contract_eval<PathCountPolicy>(m, bc.tree, leaf_value,
-                                                  ops);
-}
-
-/// PRAM evaluation (Lemma 2.4): the checked-simulator instantiation of
-/// path_counts_exec.
+/// PRAM evaluation (Lemma 2.4): tree contraction over the max-plus affine
+/// family — O(log n) steps, O(n) work, EREW.
 std::vector<std::int64_t> path_counts_pram(
     pram::Machine& m, const cograph::BinarizedCotree& bc,
     const std::vector<std::int64_t>& leaf_count);

@@ -24,27 +24,6 @@ namespace copath::core {
 /// True iff the cograph admits a Hamiltonian cycle.
 bool has_hamiltonian_cycle(const cograph::Cotree& t);
 
-/// Executor variants of the §1 corollary verdicts: the p(u) evaluation runs
-/// through the supplied executor (checked PRAM or Native) instead of the
-/// host sweep, so heavy verdict batches ride the production substrate.
-template <typename E>
-CountVerdicts count_verdicts_exec(E& m, const cograph::Cotree& t) {
-  auto bc = cograph::binarize(t);
-  const auto leaf_count = cograph::make_leftist(bc);
-  const auto p = path_counts_exec(m, bc, leaf_count);
-  return verdicts_of(cograph::view_of(bc), leaf_count, p);
-}
-
-template <typename E>
-bool has_hamiltonian_path_exec(E& m, const cograph::Cotree& t) {
-  return count_verdicts_exec(m, t).hamiltonian_path;
-}
-
-template <typename E>
-bool has_hamiltonian_cycle_exec(E& m, const cograph::Cotree& t) {
-  return count_verdicts_exec(m, t).hamiltonian_cycle;
-}
-
 /// The vertices of a Hamiltonian path in order, if one exists.
 std::optional<std::vector<VertexId>> hamiltonian_path(
     const cograph::Cotree& t);

@@ -8,21 +8,11 @@
 // cover counting. The construction itself takes O(1) PRAM steps, which the
 // bench demonstrates; together with the O(log n) upper bound of the main
 // algorithm this reproduces the paper's tightness argument.
-//
-// The reduction is an executor program (exec/exec.hpp):
-// or_via_path_cover_exec runs on any executor; the pram::Machine overload
-// below is its checked-simulator instantiation (step counts = the paper's
-// accounting), and OrReductionOptions::native selects the production
-// executor in the self-contained overload.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cograph/binarize.hpp"
-#include "cograph/cotree.hpp"
-#include "core/count.hpp"
-#include "exec/exec.hpp"
 #include "pram/machine.hpp"
 
 namespace copath::core {
@@ -36,64 +26,6 @@ struct OrReductionResult {
   std::uint64_t count_steps = 0;
 };
 
-/// Answers OR(bits) through the path cover reduction, on any executor.
-template <typename E>
-OrReductionResult or_via_path_cover_exec(
-    E& m, const std::vector<std::uint8_t>& bits) {
-  const std::size_t n = bits.size();
-  OrReductionResult res;
-
-  // O(1)-step construction: every processor writes the kind and parent of
-  // its own leaf (parent-pointer representation, exactly as in §2).
-  const std::uint64_t steps_before = m.stats().steps;
-  constexpr std::int32_t kR = 0;
-  constexpr std::int32_t kU = 1;
-  const std::size_t nodes = n + 5;  // R, u, x, y, z, a_1..a_n
-  // kind: 0 leaf, 1 union, 2 join
-  auto kind = exec::make_array<std::uint8_t>(m, nodes, std::uint8_t{0});
-  auto parent = exec::make_array<std::int32_t>(m, nodes, std::int32_t{-1});
-  auto bit_arr =
-      exec::make_array<std::uint8_t>(m, std::vector<std::uint8_t>(bits));
-  m.pfor(nodes, [&](auto& c, std::size_t i) {
-    if (i == kR) {
-      kind.put(c, i, 1);
-      parent.put(c, i, -1);
-    } else if (i == kU) {
-      kind.put(c, i, 2);
-      parent.put(c, i, kR);
-    } else if (i == 2) {
-      parent.put(c, i, kR);  // x
-    } else if (i == 3 || i == 4) {
-      parent.put(c, i, kU);  // y, z
-    } else {
-      parent.put(c, i, bit_arr.get(c, i - 5) ? kU : kR);  // a_i
-    }
-  });
-  res.construction_steps = m.stats().steps - steps_before;
-
-  // Assemble the Cotree object (host representation hand-off) and count.
-  std::vector<cograph::NodeKind> kinds(nodes);
-  std::vector<cograph::NodeId> parents(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    kinds[i] = kind.host(i) == 0   ? cograph::NodeKind::Leaf
-               : kind.host(i) == 1 ? cograph::NodeKind::Union
-                                   : cograph::NodeKind::Join;
-    parents[i] = parent.host(i);
-  }
-  const cograph::Cotree t =
-      cograph::Cotree::from_parts(std::move(kinds), std::move(parents), kR);
-
-  const std::uint64_t steps_count0 = m.stats().steps;
-  auto bc = cograph::binarize(t);
-  const auto leaf_count = cograph::make_leftist(bc);
-  const auto p = path_counts_exec(m, bc, leaf_count);
-  res.count_steps = m.stats().steps - steps_count0;
-  res.path_cover_size = p[static_cast<std::size_t>(bc.tree.root)];
-  res.or_value =
-      res.path_cover_size < static_cast<std::int64_t>(n) + 2;
-  return res;
-}
-
 /// Answers OR(bits) through the path cover reduction, on the machine.
 OrReductionResult or_via_path_cover(pram::Machine& m,
                                     const std::vector<std::uint8_t>& bits);
@@ -105,12 +37,9 @@ struct OrReductionOptions {
   /// Virtual processors; 0 = one per element (maximal parallelism), the
   /// unbounded-processor setting of Theorem 2.2.
   std::size_t processors = 0;
-  /// Run on exec::Native instead of the simulator (step counts then count
-  /// phases, not the paper's accounting).
-  bool native = false;
 };
 
-/// Self-contained overload: builds the executor internally so callers
+/// Self-contained overload: builds the machine internally so callers
 /// (benches, examples) never wire up a machine themselves.
 OrReductionResult or_via_path_cover(const std::vector<std::uint8_t>& bits,
                                     const OrReductionOptions& opt = {});

@@ -15,19 +15,17 @@
 //   7  dummy bypass             pointer jumping along dummy chains
 //   8  report paths             inorder positions + host assembly
 //
-// The stage code itself is generic over the execution substrate
-// (core/pipeline_exec.hpp, exec/exec.hpp): min_path_cover_pram below is its
-// checked-simulator instantiation — machine.stats() after the call gives
-// the step/work counts the benchmarks compare against the paper's bounds,
-// and with Policy::EREW every stage is additionally *checked* for
-// access-discipline violations. Backend::Native runs the identical stages
-// on exec::Native (direct memory, no simulation) at production speed.
+// The stages run on pram::Machine (core/pipeline.cpp): machine.stats()
+// after the call gives the step/work counts the benchmarks compare against
+// the paper's bounds, and with Policy::EREW every stage is additionally
+// *checked* for access-discipline violations.
 #pragma once
 
 #include "cograph/cotree.hpp"
 #include "core/path_cover.hpp"
 #include "par/euler.hpp"
 #include "pram/machine.hpp"
+#include "util/cancel.hpp"
 
 namespace copath::core {
 
@@ -48,10 +46,13 @@ struct PipelineTrace {
 
 /// Runs the full parallel pipeline on `m`. The machine's processor count
 /// (pram::Machine::set_processors) selects the Brent schedule; the paper's
-/// bound corresponds to processors = n / log2 n.
+/// bound corresponds to processors = n / log2 n. Every stage boundary and
+/// every repair round polls `cancel` (when non-null) and throws
+/// util::CancelledError once it has tripped.
 PathCover min_path_cover_pram(pram::Machine& m, const cograph::Cotree& t,
                               const PipelineOptions& opt = {},
-                              PipelineTrace* trace = nullptr);
+                              PipelineTrace* trace = nullptr,
+                              util::CancelToken* cancel = nullptr);
 
 /// Compatibility wrapper (delegates to copath::Solver, Backend::Parallel):
 /// builds an EREW machine with n/log2(n) processors and `workers` threads,

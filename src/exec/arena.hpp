@@ -1,28 +1,27 @@
-// exec::Arena — the scratch-buffer pool behind exec::Native arrays.
+// exec::Arena — the scratch-buffer pool behind exec::ScratchVec.
 //
-// The pipeline allocates hundreds of typed scratch arrays per solve (every
-// par/ primitive and every pipeline stage builds its working set fresh), and
-// at serving sizes the allocator cost dominates: each fresh std::vector of a
-// few hundred KB is an mmap plus a page-fault sweep. The arena replaces
-// those with recycled raw buffers:
+// The host front-end (parser, binarizer, leftist transform, canonicalizer)
+// and the sequential solve kernel build a typed working set on every
+// request, and at serving sizes the allocator cost dominates: each fresh
+// std::vector of a few hundred KB is an mmap plus a page-fault sweep. The
+// arena replaces those with recycled raw buffers:
 //
-//  * Requests are rounded up to power-of-two size classes, so arrays of the
-//    pipeline's slightly-different lengths (n, 2n-1, tour length, bracket
-//    total, ...) collapse onto a handful of classes and recycle across
-//    stages, repair rounds, and — when the arena is shared — whole solves.
-//  * acquire/release are plain free-list pushes; after the first solve of a
-//    given size the steady state performs zero heap allocations for
-//    executor arrays (tests/exec_test.cpp asserts this).
+//  * Requests are rounded up to power-of-two size classes, so arrays of
+//    slightly-different lengths (n, 2n-1, ...) collapse onto a handful of
+//    classes and recycle across passes and — when the arena is shared —
+//    whole solves.
+//  * acquire/release are plain free-list pushes; after the first request of
+//    a given size the steady state performs zero heap allocations (the
+//    front-end tests and Service::Stats::arena_fresh_allocs watch this).
 //  * The arena owns every byte it ever allocated; release just returns a
-//    buffer to the free list, so destruction order of arrays is arbitrary
-//    and nothing leaks even when a solve throws mid-stage.
+//    buffer to the free list, so destruction order of loans is arbitrary
+//    and nothing leaks even when a solve throws midway.
 //
-// Lifetime rules (DESIGN.md §7): an arena must outlive every array carved
-// from it, and it is deliberately NOT thread-safe — executor arrays are
-// created and destroyed only on the thread driving the solve (step/pfor
-// bodies never allocate), so a lock would buy nothing. Use for_this_thread()
-// to share one arena across the solves a worker thread performs; never pass
-// one arena to two threads.
+// Lifetime rules (DESIGN.md §7): an arena must outlive every loan carved
+// from it, and it is deliberately NOT thread-safe — loans are taken and
+// returned only on the thread driving the solve, so a lock would buy
+// nothing. Use for_this_thread() to share one arena across the solves a
+// worker thread performs; never pass one arena to two threads.
 #pragma once
 
 #include <cstddef>
@@ -71,8 +70,8 @@ class Arena {
         return b;
       }
     }
-    // for_overwrite: the Array constructor fills the buffer immediately —
-    // a value-initializing new[] would memset the whole class first.
+    // for_overwrite: the borrower fills the buffer itself — a
+    // value-initializing new[] would memset the whole class first.
     owned_.push_back(std::make_unique_for_overwrite<std::byte[]>(cls));
     ++stats_.fresh_allocs;
     stats_.bytes_reserved += cls;
@@ -86,16 +85,6 @@ class Arena {
     free_.push_back(b);
   }
 
-  /// Drops every free buffer (memory pressure valve). Outstanding buffers
-  /// are unaffected but their classes will re-allocate on next acquire.
-  void trim() {
-    COPATH_CHECK_MSG(stats_.outstanding == 0,
-                     "Arena::trim with live arrays outstanding");
-    free_.clear();
-    owned_.clear();
-    stats_.bytes_reserved = 0;
-  }
-
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// The calling thread's private arena: one per solving thread, reused
@@ -107,9 +96,8 @@ class Arena {
   }
 
  private:
-  /// Power-of-two classes with a 256-byte floor: the pipeline's many
-  /// near-equal lengths share classes, and tiny arrays (block sums,
-  /// tournament levels) all land in one bucket.
+  /// Power-of-two classes with a 256-byte floor: many near-equal lengths
+  /// share classes, and tiny arrays all land in one bucket.
   static std::size_t size_class(std::size_t bytes) {
     return util::next_pow2(bytes < 256 ? 256 : bytes);
   }

@@ -10,8 +10,7 @@
 // the exceptions; the front-end regression test pins it at zero on warm
 // requests).
 //
-// Same element contract as exec::Native::Array: trivially copyable,
-// trivially destructible (growth is a memcpy between size classes; the
+// Elements must be trivially copyable and trivially destructible (growth is a memcpy between size classes; the
 // destructor just returns the buffer). Same lifetime rules as every arena
 // loan: the arena outlives the vector, one thread only.
 #pragma once

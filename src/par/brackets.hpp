@@ -48,48 +48,25 @@ inline std::vector<std::int64_t> match_brackets_seq(
   return match;
 }
 
-/// Parallel bracket matcher (generic over the executor). `sign` is the
-/// input; `match` (same size) receives partner positions or -1.
-template <typename E>
-void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
-                    exec::ArrayOf<E, std::int64_t>& match) {
+/// Parallel bracket matcher. `sign` is the input; `match` (same size)
+/// receives partner positions or -1.
+inline void match_brackets(pram::Machine& m,
+                           const pram::Array<std::int8_t>& sign,
+                           pram::Array<std::int64_t>& match) {
   const std::size_t n = sign.size();
   COPATH_CHECK(match.size() == n);
   if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Brackets, n)) {
-      // One host stack pass (the match_brackets_seq semantics); the stack
-      // itself is arena scratch so steady-state solves stay allocation-free.
-      auto sv = sign.host_span();
-      auto mv = match.host_span();
-      auto stack = exec::make_array<std::int64_t>(m, n);
-      auto st = stack.host_span();
-      std::size_t top = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        mv[i] = -1;
-        if (sv[i] > 0) {
-          st[top++] = static_cast<std::int64_t>(i);
-        } else if (sv[i] < 0 && top > 0) {
-          const auto j = static_cast<std::size_t>(st[--top]);
-          mv[i] = static_cast<std::int64_t>(j);
-          mv[j] = static_cast<std::int64_t>(i);
-        }
-      }
-      m.charge_host_pass(n);
-      return;
-    }
-  }
   const std::size_t blocks = detail::block_count(m, n);
   const std::size_t bsz = detail::ceil_div(n, blocks);
 
   fill(m, match, std::int64_t{-1});
 
   // ---- Phase 1: block-local stack matching --------------------------
-  auto uc_pos = exec::make_array<std::int64_t>(m, n, std::int64_t{-1});  // unmatched closes, segmented
-  auto uo_pos = exec::make_array<std::int64_t>(m, n, std::int64_t{-1});  // unmatched opens, segmented
-  auto c_cnt = exec::make_array<std::int64_t>(m, blocks, std::int64_t{0});
-  auto o_cnt = exec::make_array<std::int64_t>(m, blocks, std::int64_t{0});
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  pram::Array<std::int64_t> uc_pos(m, n, std::int64_t{-1});  // unmatched closes, segmented
+  pram::Array<std::int64_t> uo_pos(m, n, std::int64_t{-1});  // unmatched opens, segmented
+  pram::Array<std::int64_t> c_cnt(m, blocks, std::int64_t{0});
+  pram::Array<std::int64_t> o_cnt(m, blocks, std::int64_t{0});
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * bsz);
     const std::size_t hi = std::min(n, lo + bsz);
     std::vector<std::int64_t> stack;  // processor-local memory
@@ -130,15 +107,15 @@ void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
     level_off[lv + 1] = level_off[lv] + (p2 >> lv);
   const std::size_t tree_sz = level_off[levels + 1];
 
-  auto tc = exec::make_array<std::int64_t>(m, tree_sz, std::int64_t{0});  // closes per node
-  auto to = exec::make_array<std::int64_t>(m, tree_sz, std::int64_t{0});  // opens per node
-  auto tk = exec::make_array<std::int64_t>(m, tree_sz, std::int64_t{0});  // k (levels >= 1)
-  m.pfor(blocks, [&](auto& c, std::size_t b) {
+  pram::Array<std::int64_t> tc(m, tree_sz, std::int64_t{0});  // closes per node
+  pram::Array<std::int64_t> to(m, tree_sz, std::int64_t{0});  // opens per node
+  pram::Array<std::int64_t> tk(m, tree_sz, std::int64_t{0});  // k (levels >= 1)
+  m.pfor(blocks, [&](pram::Ctx& c, std::size_t b) {
     tc.put(c, b, c_cnt.get(c, b));
     to.put(c, b, o_cnt.get(c, b));
   });
   for (std::size_t lv = 1; lv <= levels; ++lv) {
-    m.pfor(p2 >> lv, [&](auto& c, std::size_t v) {
+    m.pfor(p2 >> lv, [&](pram::Ctx& c, std::size_t v) {
       const std::size_t l = level_off[lv - 1] + 2 * v;
       const std::size_t r = l + 1;
       const std::int64_t cl = tc.get(c, l);
@@ -154,8 +131,9 @@ void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
   }
 
   // ---- Phase 3: slot bases (exclusive scan of k over all nodes) ------
-  auto base = exec::make_array<std::int64_t>(m, tree_sz, std::int64_t{0});
-  exclusive_scan_into(m, tk, base);
+  pram::Array<std::int64_t> base(m, tree_sz, std::int64_t{0});
+  copy(m, tk, base);
+  exclusive_scan(m, base);
   const auto total_matched =
       static_cast<std::size_t>(base.host(tree_sz - 1) + tk.host(tree_sz - 1));
   if (total_matched == 0) return;
@@ -172,11 +150,11 @@ void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
   };
   // Per (level r, node u at level r): the tuple describing u's merge into
   // its parent. Two parity substeps keep parent reads exclusive.
-  auto tup = exec::make_array<Tup>(m, tree_sz);
+  pram::Array<Tup> tup(m, tree_sz);
   for (const std::size_t parity : {std::size_t{0}, std::size_t{1}}) {
     for (std::size_t r = 0; r < levels; ++r) {
       const std::size_t cnt = (p2 >> r) / 2;
-      m.pfor(cnt, [&](auto& c, std::size_t half) {
+      m.pfor(cnt, [&](pram::Ctx& c, std::size_t half) {
         const std::size_t u_local = 2 * half + parity;
         const std::size_t u = level_off[r] + u_local;
         const std::size_t sib = level_off[r] + (u_local ^ 1);
@@ -201,8 +179,8 @@ void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
     static constexpr Tup identity() { return Tup{}; }
     Tup operator()(const Tup& a, const Tup& b) const { return b.set ? b : a; }
   };
-  auto mat = exec::make_array<Tup>(m, levels * p2);
-  m.pfor(levels * p2, [&](auto& c, std::size_t pos) {
+  pram::Array<Tup> mat(m, levels * p2);
+  m.pfor(levels * p2, [&](pram::Ctx& c, std::size_t pos) {
     const std::size_t r = pos / p2;
     const std::size_t b = pos % p2;
     if ((b & ((std::size_t{1} << r) - 1)) == 0) {
@@ -214,9 +192,9 @@ void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
   inclusive_scan(m, mat, TakeSet{});
 
   // ---- Phase 5: per-block staircase walks ----------------------------
-  auto slot_close = exec::make_array<std::int64_t>(m, total_matched, std::int64_t{-1});
-  auto slot_open = exec::make_array<std::int64_t>(m, total_matched, std::int64_t{-1});
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  pram::Array<std::int64_t> slot_close(m, total_matched, std::int64_t{-1});
+  pram::Array<std::int64_t> slot_open(m, total_matched, std::int64_t{-1});
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     std::uint64_t cost = 1;
     // Close side: indices j in [0, a) transform as j -> j + delta; matched
     // sets are prefixes.
@@ -266,7 +244,7 @@ void match_brackets(E& m, const exec::ArrayOf<E, std::int8_t>& sign,
   });
 
   // ---- Phase 6: pair through the slots --------------------------------
-  m.pfor(total_matched, [&](auto& c, std::size_t s) {
+  m.pfor(total_matched, [&](pram::Ctx& c, std::size_t s) {
     const std::int64_t cp = slot_close.get(c, s);
     const std::int64_t op = slot_open.get(c, s);
     if (cp < 0 || op < 0) return;  // unfilled slot (k over-allocated: never

@@ -32,9 +32,9 @@
 
 namespace copath::par {
 
-template <typename P, typename E>
+template <typename P>
 std::vector<typename P::Value> tree_contract_eval(
-    E& m, const BinTree& t,
+    pram::Machine& m, const BinTree& t,
     const std::vector<typename P::Value>& leaf_value,
     const std::vector<typename P::NodeOp>& node_op,
     RankEngine engine = RankEngine::Contract) {
@@ -54,59 +54,24 @@ std::vector<typename P::Value> tree_contract_eval(
   t.validate();  // O(n) input self-check: debug builds only (hot path)
 #endif
 
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Contract, n)) {
-      // Host post-order evaluation. The contraction computes the exact
-      // bottom-up value of every node (the policy's partials are exact by
-      // contract), so direct evaluation is value-identical. Scratch is
-      // arena-recycled (the zero-allocation steady state).
-      auto scratch = exec::make_array<NodeId>(m, 2 * n);
-      auto stack = scratch.host_span().subspan(0, n);
-      auto order = scratch.host_span().subspan(n, n);
-      std::size_t top = 0;
-      std::size_t filled = 0;
-      stack[top++] = t.root;
-      while (top > 0) {
-        const NodeId v = stack[--top];
-        order[filled++] = v;
-        const auto vu = static_cast<std::size_t>(v);
-        if (t.left[vu] != kNull) stack[top++] = t.left[vu];
-        if (t.right[vu] != kNull) stack[top++] = t.right[vu];
-      }
-      for (std::size_t i = n; i-- > 0;) {
-        const auto vu = static_cast<std::size_t>(order[i]);
-        const NodeId l = t.left[vu];
-        const NodeId r = t.right[vu];
-        if (l == kNull) {
-          result[vu] = leaf_value[vu];
-        } else {
-          result[vu] = P::full(node_op[vu],
-                               result[static_cast<std::size_t>(l)],
-                               result[static_cast<std::size_t>(r)]);
-        }
-      }
-      m.charge_host_pass(2 * n);
-      return result;
-    }
-  }
 
   // Leaf numbering (and nothing else) from the Euler tour.
   const EulerNumbers nums = euler_numbers(m, t, engine);
 
   // Mutable tree state.
-  auto parent = exec::make_array<NodeId>(m, t.parent);
-  auto l_child = exec::make_array<NodeId>(m, t.left);
-  auto r_child = exec::make_array<NodeId>(m, t.right);
-  auto func = exec::make_array<Func>(m, n, P::identity());
-  auto op = exec::make_array<NodeOp>(m, node_op);
-  auto val = exec::make_array<Value>(m, leaf_value);
+  pram::Array<NodeId> parent(m, t.parent);
+  pram::Array<NodeId> l_child(m, t.left);
+  pram::Array<NodeId> r_child(m, t.right);
+  pram::Array<Func> func(m, n, P::identity());
+  pram::Array<NodeOp> op(m, node_op);
+  pram::Array<Value> val(m, leaf_value);
   // side[v]: 0 = left child of its parent, 1 = right child.
   std::vector<std::uint8_t> side_init(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     if (t.right[v] != kNull)
       side_init[static_cast<std::size_t>(t.right[v])] = 1;
   }
-  auto side = exec::make_array<std::uint8_t>(m, std::move(side_init));
+  pram::Array<std::uint8_t> side(m, std::move(side_init));
 
   // Leaf list ordered by leaf number (two buffers, ping-pong compaction).
   std::size_t leaf_count = 0;
@@ -118,21 +83,21 @@ std::vector<typename P::Value> tree_contract_eval(
       leaves_init[static_cast<std::size_t>(nums.leafnum[v])] =
           static_cast<NodeId>(v);
   }
-  auto leaves_a = exec::make_array<NodeId>(m, std::move(leaves_init));
-  auto leaves_b = exec::make_array<NodeId>(m, leaf_count);
+  pram::Array<NodeId> leaves_a(m, std::move(leaves_init));
+  pram::Array<NodeId> leaves_b(m, leaf_count);
 
   // Rake event log, indexed by the raked leaf.
-  auto ev_q = exec::make_array<NodeId>(m, n, kNull);
-  auto ev_s = exec::make_array<NodeId>(m, n, kNull);
-  auto ev_x = exec::make_array<Value>(m, n, Value{});
-  auto ev_hs = exec::make_array<Func>(m, n, P::identity());
-  auto ev_side = exec::make_array<std::uint8_t>(m, n, std::uint8_t{0});
+  pram::Array<NodeId> ev_q(m, n, kNull);
+  pram::Array<NodeId> ev_s(m, n, kNull);
+  pram::Array<Value> ev_x(m, n, Value{});
+  pram::Array<Func> ev_hs(m, n, P::identity());
+  pram::Array<std::uint8_t> ev_side(m, n, std::uint8_t{0});
   // Per-round segments of raked leaves, in substep order (left rakes carry
   // ev_side 0, right rakes 1; both live in the same segment).
-  auto log_leaf = exec::make_array<NodeId>(m, n, kNull);
+  pram::Array<NodeId> log_leaf(m, n, kNull);
   std::vector<std::size_t> round_offset{0};
 
-  auto side_snap = exec::make_array<std::uint8_t>(m, leaf_count, std::uint8_t{0});
+  pram::Array<std::uint8_t> side_snap(m, leaf_count, std::uint8_t{0});
 
   bool use_a = true;
   std::size_t logged = 0;
@@ -143,14 +108,14 @@ std::vector<typename P::Value> tree_contract_eval(
 
     // Snapshot the sides of the odd leaves (they are stable across both
     // substeps; see the EREW analysis in the header comment).
-    m.pfor(odd, [&](auto& c, std::size_t j) {
+    m.pfor(odd, [&](pram::Ctx& c, std::size_t j) {
       const NodeId l = leaves.get(c, 2 * j + 1);
       side_snap.put(c, j, side.get(c, static_cast<std::size_t>(l)));
       log_leaf.put(c, logged + j, l);
     });
 
     for (const std::uint8_t substep : {std::uint8_t{0}, std::uint8_t{1}}) {
-      m.pfor(odd, [&](auto& c, std::size_t j) {
+      m.pfor(odd, [&](pram::Ctx& c, std::size_t j) {
         if (side_snap.get(c, j) != substep) return;
         const auto l =
             static_cast<std::size_t>(leaves.get(c, 2 * j + 1));
@@ -191,7 +156,7 @@ std::vector<typename P::Value> tree_contract_eval(
 
     // Compact to the even-numbered leaves.
     const std::size_t remaining = leaf_count - odd;
-    m.pfor(remaining, [&](auto& c, std::size_t j) {
+    m.pfor(remaining, [&](pram::Ctx& c, std::size_t j) {
       next_leaves.put(c, j, leaves.get(c, 2 * j));
     });
     logged += odd;
@@ -201,14 +166,14 @@ std::vector<typename P::Value> tree_contract_eval(
   }
 
   // Expansion: replay rounds in reverse (right rakes before left rakes).
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     if (nums.leafnum[v] >= 0) val.put(c, v, leaf_value[v]);
   });
   for (std::size_t r = round_offset.size() - 1; r-- > 0;) {
     const std::size_t lo = round_offset[r];
     const std::size_t hi = round_offset[r + 1];
     for (const std::uint8_t substep : {std::uint8_t{1}, std::uint8_t{0}}) {
-      m.pfor(hi - lo, [&](auto& c, std::size_t k) {
+      m.pfor(hi - lo, [&](pram::Ctx& c, std::size_t k) {
         const auto l = static_cast<std::size_t>(log_leaf.get(c, lo + k));
         if (ev_side.get(c, l) != substep) return;
         const auto q = static_cast<std::size_t>(ev_q.get(c, l));

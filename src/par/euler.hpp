@@ -11,9 +11,6 @@
 // successors of their children's `up` items so no cell is read twice in a
 // step — and positions come from list ranking. All derived numbers are
 // prefix sums over position-indexed indicator arrays.
-//
-// Generic over the executor (exec/exec.hpp): run it on exec::CheckedPram
-// for the proven EREW bounds, on exec::Native for production speed.
 #pragma once
 
 #include <cstdint>
@@ -49,105 +46,9 @@ struct EulerNumbers {
   std::int64_t tour_length = 0;
 };
 
-/// One-pass host DFS producing the full EulerNumbers (the native
-/// shortcut). Every field is a deterministic function of the tree — tour
-/// positions come from the recursive tour definition (down(v), subtree,
-/// up(v)), the counters reproduce the prefix-sum-derived numbers exactly —
-/// so the output is value-identical to the tour + list-ranking program
-/// (tests/exec_test.cpp runs the differential).
-inline EulerNumbers euler_numbers_host(const BinTree& t) {
+inline EulerNumbers euler_numbers(pram::Machine& m, const BinTree& t,
+                                  RankEngine engine = RankEngine::Contract) {
   const std::size_t n = t.size();
-  EulerNumbers out;
-  out.pre.assign(n, 0);
-  out.in.assign(n, 0);
-  out.post.assign(n, 0);
-  out.depth.assign(n, 0);
-  out.leaves.assign(n, 0);
-  out.subtree.assign(n, 0);
-  out.leafnum.assign(n, -1);
-  out.first_leaf.assign(n, 0);
-  out.down_pos.assign(n, -1);
-  out.up_pos.assign(n, -1);
-  if (n == 0) return out;
-  if (n == 1) {
-    out.leaves[0] = 1;
-    out.subtree[0] = 1;
-    out.leafnum[0] = 0;
-    out.post[0] = 0;
-    return out;
-  }
-  const auto root = static_cast<std::size_t>(t.root);
-  out.tour_length = static_cast<std::int64_t>(2 * (n - 1));
-
-  std::int64_t pos = 0;     // tour item counter
-  std::int64_t pre_c = 0;   // non-root entries so far
-  std::int64_t post_c = 0;  // exits so far (root exits last: n - 1)
-  std::int64_t in_c = 0;    // inorder events so far
-  std::int64_t leaf_c = 0;  // leaves entered so far
-
-  // Explicit stack of v * 4 + phase: 0 = enter, 1 = inorder event (fires
-  // after the left subtree — or immediately when there is none), 2 = exit.
-  std::vector<std::int64_t> stack;
-  stack.reserve(64);
-  stack.push_back(static_cast<std::int64_t>(root) * 4);
-  while (!stack.empty()) {
-    const std::int64_t item = stack.back();
-    stack.pop_back();
-    const auto v = static_cast<std::size_t>(item / 4);
-    const NodeId l = t.left[v];
-    const NodeId r = t.right[v];
-    switch (item % 4) {
-      case 0: {  // enter
-        if (v != root) {
-          out.down_pos[v] = pos++;
-          out.depth[v] =
-              out.depth[static_cast<std::size_t>(t.parent[v])] + 1;
-          out.pre[v] = ++pre_c;
-        }
-        out.first_leaf[v] = v == root ? 0 : leaf_c;
-        if (l == kNull && r == kNull) out.leafnum[v] = leaf_c++;
-        stack.push_back(item + 2);  // exit
-        if (r != kNull) stack.push_back(static_cast<std::int64_t>(r) * 4);
-        stack.push_back(item + 1);  // inorder event
-        if (l != kNull) stack.push_back(static_cast<std::int64_t>(l) * 4);
-        break;
-      }
-      case 1: {  // inorder event
-        out.in[v] = in_c++;
-        break;
-      }
-      default: {  // exit
-        if (v != root) out.up_pos[v] = pos++;
-        out.post[v] = post_c++;
-        const bool leaf = l == kNull && r == kNull;
-        std::int64_t sub = 1, lv = leaf ? 1 : 0;
-        if (l != kNull) {
-          sub += out.subtree[static_cast<std::size_t>(l)];
-          lv += out.leaves[static_cast<std::size_t>(l)];
-        }
-        if (r != kNull) {
-          sub += out.subtree[static_cast<std::size_t>(r)];
-          lv += out.leaves[static_cast<std::size_t>(r)];
-        }
-        out.subtree[v] = sub;
-        out.leaves[v] = lv;
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-template <typename E>
-EulerNumbers euler_numbers(E& m, const BinTree& t,
-                           RankEngine engine = RankEngine::Contract) {
-  const std::size_t n = t.size();
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Euler, n)) {
-      m.charge_host_pass(2 * n);
-      return euler_numbers_host(t);
-    }
-  }
   EulerNumbers out;
   out.pre.assign(n, 0);
   out.in.assign(n, 0);
@@ -174,13 +75,13 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
   const auto up = [](std::int64_t c) { return 2 * c + 1; };
 
   // Load the tree into shared memory (input tape).
-  auto left = exec::make_array<NodeId>(m, t.left);
-  auto right = exec::make_array<NodeId>(m, t.right);
+  pram::Array<NodeId> left(m, t.left);
+  pram::Array<NodeId> right(m, t.right);
 
-  auto succ = exec::make_array<NodeId>(m, items, kNull);
+  pram::Array<NodeId> succ(m, items, kNull);
   // Each node computes the successor of its own `down` item and the
   // successors of its children's `up` items (exclusive by construction).
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     const NodeId l = left.get(c, v);
     const NodeId r = right.get(c, v);
     if (v != root) {
@@ -212,7 +113,7 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
   });
 
   // Positions from ranks (rank = distance to tour tail).
-  auto rank = exec::make_array<std::int64_t>(m, items, std::int64_t{0});
+  pram::Array<std::int64_t> rank(m, items, std::int64_t{0});
   if (engine == RankEngine::Contract) {
     list_rank_contract(m, succ, rank);
   } else {
@@ -221,9 +122,9 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
   const std::int64_t tour_len = static_cast<std::int64_t>(2 * (n - 1));
   out.tour_length = tour_len;
 
-  auto dpos = exec::make_array<std::int64_t>(m, n, std::int64_t{-1});
-  auto upos = exec::make_array<std::int64_t>(m, n, std::int64_t{-1});
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  pram::Array<std::int64_t> dpos(m, n, std::int64_t{-1});
+  pram::Array<std::int64_t> upos(m, n, std::int64_t{-1});
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     if (v == root) return;
     const auto vi = static_cast<std::int64_t>(v);
     dpos.put(c, v,
@@ -234,11 +135,11 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
 
   // Position-indexed indicators.
   const auto tlen = static_cast<std::size_t>(tour_len);
-  auto delta = exec::make_array<std::int64_t>(m, tlen, std::int64_t{0});
-  auto downs = exec::make_array<std::int64_t>(m, tlen, std::int64_t{0});
-  auto ups = exec::make_array<std::int64_t>(m, tlen, std::int64_t{0});
-  auto leafdowns = exec::make_array<std::int64_t>(m, tlen, std::int64_t{0});
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  pram::Array<std::int64_t> delta(m, tlen, std::int64_t{0});
+  pram::Array<std::int64_t> downs(m, tlen, std::int64_t{0});
+  pram::Array<std::int64_t> ups(m, tlen, std::int64_t{0});
+  pram::Array<std::int64_t> leafdowns(m, tlen, std::int64_t{0});
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     if (v == root) return;
     const auto dp = static_cast<std::size_t>(dpos.get(c, v));
     const auto upp = static_cast<std::size_t>(upos.get(c, v));
@@ -249,17 +150,20 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
     ups.put(c, upp, 1);
     if (leaf) leafdowns.put(c, dp, 1);
   });
-  inclusive_scan4(m, delta, downs, ups, leafdowns);
+  inclusive_scan(m, delta);
+  inclusive_scan(m, downs);
+  inclusive_scan(m, ups);
+  inclusive_scan(m, leafdowns);
 
   // Gather per-node numbers.
-  auto pre = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  auto post = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  auto depth = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  auto leaves = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  auto subtree = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  auto leafnum = exec::make_array<std::int64_t>(m, n, std::int64_t{-1});
-  auto firstleaf = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  pram::Array<std::int64_t> pre(m, n, std::int64_t{0});
+  pram::Array<std::int64_t> post(m, n, std::int64_t{0});
+  pram::Array<std::int64_t> depth(m, n, std::int64_t{0});
+  pram::Array<std::int64_t> leaves(m, n, std::int64_t{0});
+  pram::Array<std::int64_t> subtree(m, n, std::int64_t{0});
+  pram::Array<std::int64_t> leafnum(m, n, std::int64_t{-1});
+  pram::Array<std::int64_t> firstleaf(m, n, std::int64_t{0});
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     if (v == root) return;  // root handled on the host below (its values
                             // would share cells with the last tour item)
     const bool leaf = left.get(c, v) == kNull && right.get(c, v) == kNull;
@@ -287,9 +191,9 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
   // up(left(v)) + 1 when v has a left child, at down(v) + 1 otherwise, and
   // at slot 0 for a left-childless root. Events are pairwise distinct.
   const std::size_t ev_len = static_cast<std::size_t>(tour_len) + 1;
-  auto events = exec::make_array<std::int64_t>(m, ev_len, std::int64_t{0});
-  auto ev_of = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  pram::Array<std::int64_t> events(m, ev_len, std::int64_t{0});
+  pram::Array<std::int64_t> ev_of(m, n, std::int64_t{0});
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     const NodeId l = left.get(c, v);
     std::int64_t ev;
     if (l != kNull) {
@@ -303,7 +207,7 @@ EulerNumbers euler_numbers(E& m, const BinTree& t,
     events.put(c, static_cast<std::size_t>(ev), 1);
   });
   inclusive_scan(m, events);
-  m.pfor(n, [&](auto& c, std::size_t v) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t v) {
     out.in[v] =
         events.get(c, static_cast<std::size_t>(ev_of.get(c, v))) - 1;
   });

@@ -4,9 +4,8 @@
 // lists (next[i] == kNull marks a tail). Output: rank[i] = number of links
 // from i to the tail of its list (tail has rank 0).
 //
-// Both implementations are executor programs (exec/exec.hpp): the checked
-// PRAM executor proves the EREW contract, the Native executor runs them at
-// memory speed.
+// Both implementations are PRAM programs; an EREW pram::Machine proves
+// they keep the exclusive-access contract.
 //
 //  * list_rank_wyllie — classic pointer jumping. O(log n) rounds; each round
 //    costs O(n/P) steps and O(n) work, so the total is O(n log n) work. Made
@@ -32,56 +31,19 @@
 
 namespace copath::par {
 
-/// One-pass host ranking for the native shortcut: mark heads (nodes with
-/// no predecessor), then walk each list twice — once for its length, once
-/// assigning rank = distance to tail. Ranks are uniquely determined by
-/// `next`, so this is value-identical to both parallel rankers. O(n), and
-/// the head-marking scratch is arena-recycled.
-template <typename E>
-void list_rank_host(E& m, const exec::ArrayOf<E, NodeId>& next,
-                    exec::ArrayOf<E, std::int64_t>& rank) {
-  const std::size_t n = next.size();
-  auto has_pred = exec::make_array<std::uint8_t>(m, n, std::uint8_t{0});
-  auto hp = has_pred.host_span();
-  auto nx = next.host_span();
-  auto rk = rank.host_span();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (nx[i] != kNull) hp[static_cast<std::size_t>(nx[i])] = 1;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (hp[i] != 0) continue;  // not a head
-    std::int64_t len = 0;
-    for (NodeId j = static_cast<NodeId>(i); j != kNull;
-         j = nx[static_cast<std::size_t>(j)]) {
-      ++len;
-    }
-    for (NodeId j = static_cast<NodeId>(i); j != kNull;
-         j = nx[static_cast<std::size_t>(j)]) {
-      rk[static_cast<std::size_t>(j)] = --len;
-    }
-  }
-  m.charge_host_pass(n);
-}
-
 /// Pointer-jumping ranking. `next` is left untouched.
-template <typename E>
-void list_rank_wyllie(E& m, const exec::ArrayOf<E, NodeId>& next,
-                      exec::ArrayOf<E, std::int64_t>& rank) {
+inline void list_rank_wyllie(pram::Machine& m,
+                             const pram::Array<NodeId>& next,
+                             pram::Array<std::int64_t>& rank) {
   const std::size_t n = next.size();
   COPATH_CHECK(rank.size() == n);
   if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Rank, n)) {
-      list_rank_host(m, next, rank);
-      return;
-    }
-  }
 
-  auto succ = exec::make_array<NodeId>(m, n);
-  auto succ_copy = exec::make_array<NodeId>(m, n);
-  auto rank_copy = exec::make_array<std::int64_t>(m, n);
+  pram::Array<NodeId> succ(m, n);
+  pram::Array<NodeId> succ_copy(m, n);
+  pram::Array<std::int64_t> rank_copy(m, n);
 
-  m.pfor(n, [&](auto& c, std::size_t i) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
     const NodeId nx = next.get(c, i);
     succ.put(c, i, nx);
     rank.put(c, i, nx == kNull ? 0 : 1);
@@ -92,13 +54,13 @@ void list_rank_wyllie(E& m, const exec::ArrayOf<E, NodeId>& next,
   for (std::size_t v = 1; v < n; v <<= 1) ++rounds;
   for (std::size_t r = 0; r < rounds; ++r) {
     // Substep 1: snapshot (EREW: cell i read only by processor i).
-    m.pfor(n, [&](auto& c, std::size_t i) {
+    m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
       succ_copy.put(c, i, succ.get(c, i));
       rank_copy.put(c, i, rank.get(c, i));
     });
     // Substep 2: jump. Processor i reads copies at position succ[i]; succ is
     // injective over non-null entries, so each cell has at most one reader.
-    m.pfor(n, [&](auto& c, std::size_t i) {
+    m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
       const NodeId s = succ.get(c, i);
       if (s == kNull) return;
       const std::size_t si = static_cast<std::size_t>(s);
@@ -109,42 +71,36 @@ void list_rank_wyllie(E& m, const exec::ArrayOf<E, NodeId>& next,
 }
 
 /// Randomized contraction ranking; expected O(n) work. `next` untouched.
-template <typename E>
-void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
-                        exec::ArrayOf<E, std::int64_t>& rank,
-                        std::uint64_t seed = 0x11572ea7u) {
+inline void list_rank_contract(pram::Machine& m,
+                               const pram::Array<NodeId>& next,
+                               pram::Array<std::int64_t>& rank,
+                               std::uint64_t seed = 0x11572ea7u) {
   const std::size_t n = next.size();
   COPATH_CHECK(rank.size() == n);
   if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Rank, n)) {
-      list_rank_host(m, next, rank);
-      return;
-    }
-  }
 
-  auto succ = exec::make_array<NodeId>(m, n);   // live successor
-  auto pred = exec::make_array<NodeId>(m, n);   // live predecessor
+  pram::Array<NodeId> succ(m, n);   // live successor
+  pram::Array<NodeId> pred(m, n);   // live predecessor
   // weight of the live link i -> succ[i]
-  auto ew = exec::make_array<std::int64_t>(m, n);
-  auto removed_now = exec::make_array<std::uint8_t>(m, n, std::uint8_t{0});
-  auto live = exec::make_array<NodeId>(m, n);
-  auto live_next = exec::make_array<NodeId>(m, n);
+  pram::Array<std::int64_t> ew(m, n);
+  pram::Array<std::uint8_t> removed_now(m, n, std::uint8_t{0});
+  pram::Array<NodeId> live(m, n);
+  pram::Array<NodeId> live_next(m, n);
   // Removal log: per removed node, the successor and link weight at removal
   // time; per round, the segment of `order` holding that round's removals.
-  auto rem_succ = exec::make_array<NodeId>(m, n, kNull);
-  auto rem_weight = exec::make_array<std::int64_t>(m, n, std::int64_t{0});
-  auto order = exec::make_array<NodeId>(m, n);
+  pram::Array<NodeId> rem_succ(m, n, kNull);
+  pram::Array<std::int64_t> rem_weight(m, n, std::int64_t{0});
+  pram::Array<NodeId> order(m, n);
   std::vector<std::size_t> round_offset;  // host bookkeeping
 
-  m.pfor(n, [&](auto& c, std::size_t i) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
     succ.put(c, i, next.get(c, i));
     ew.put(c, i, 1);
     pred.put(c, i, kNull);
     live.put(c, i, static_cast<NodeId>(i));
   });
   // pred via scatter (succ injective -> exclusive writes).
-  m.pfor(n, [&](auto& c, std::size_t i) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
     const NodeId s = succ.get(c, i);
     if (s != kNull) pred.put(c, static_cast<std::size_t>(s),
                              static_cast<NodeId>(i));
@@ -154,8 +110,8 @@ void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
   // loop runs until exactly the tails survive.
   std::size_t tails = 0;
   {
-    auto is_tail = exec::make_array<std::int64_t>(m, n);
-    m.pfor(n, [&](auto& c, std::size_t i) {
+    pram::Array<std::int64_t> is_tail(m, n);
+    m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
       is_tail.put(c, i, next.get(c, i) == kNull ? 1 : 0);
     });
     tails = static_cast<std::size_t>(reduce(m, is_tail));
@@ -178,7 +134,7 @@ void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
     // Select: i leaves iff coin(i) is heads, its predecessor's coin (if
     // any) is tails, and i is not its list's tail — no two adjacent nodes
     // are ever selected together.
-    m.pfor(live_count, [&](auto& c, std::size_t j) {
+    m.pfor(live_count, [&](pram::Ctx& c, std::size_t j) {
       const std::size_t i = static_cast<std::size_t>(live.get(c, j));
       const NodeId p = pred.get(c, i);
       const bool sel =
@@ -188,7 +144,7 @@ void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
     });
     // Splice the selected nodes out and log them. Neighbours of a selected
     // node are unselected, so every touched cell has one owner.
-    m.pfor(live_count, [&](auto& c, std::size_t j) {
+    m.pfor(live_count, [&](pram::Ctx& c, std::size_t j) {
       const std::size_t i = static_cast<std::size_t>(live.get(c, j));
       if (removed_now.get(c, i) == 0) return;
       const NodeId s = succ.get(c, i);
@@ -206,17 +162,18 @@ void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
       pred.put(c, static_cast<std::size_t>(s), p);
     });
     // Compact: removed nodes into `order`, survivors into live_next.
-    auto mark = exec::make_array<std::int64_t>(m, live_count);
-    m.pfor(live_count, [&](auto& c, std::size_t j) {
+    pram::Array<std::int64_t> mark(m, live_count);
+    m.pfor(live_count, [&](pram::Ctx& c, std::size_t j) {
       const std::size_t i = static_cast<std::size_t>(live.get(c, j));
       mark.put(c, j, removed_now.get(c, i) != 0 ? 1 : 0);
     });
-    auto removed_pos = exec::make_array<std::int64_t>(m, live_count);
-    exclusive_scan_into(m, mark, removed_pos);
+    pram::Array<std::int64_t> removed_pos(m, live_count);
+    copy(m, mark, removed_pos);
+    exclusive_scan(m, removed_pos);
     const std::size_t removed_count =
         static_cast<std::size_t>(removed_pos.host(live_count - 1)) +
         (mark.host(live_count - 1) != 0 ? 1u : 0u);
-    m.pfor(live_count, [&](auto& c, std::size_t j) {
+    m.pfor(live_count, [&](pram::Ctx& c, std::size_t j) {
       const NodeId i = live.get(c, j);
       if (mark.get(c, j) != 0) {
         order.put(c,
@@ -233,7 +190,7 @@ void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
     removed_total += removed_count;
     live_count -= removed_count;
     round_offset.push_back(removed_total);
-    m.pfor(live_count, [&](auto& c, std::size_t j) {
+    m.pfor(live_count, [&](pram::Ctx& c, std::size_t j) {
       live.put(c, j, live_next.get(c, j));
     });
     COPATH_CHECK_MSG(round < 64 * 8,
@@ -241,14 +198,14 @@ void list_rank_contract(E& m, const exec::ArrayOf<E, NodeId>& next,
   }
 
   // Base ranks for the surviving elements (all tails).
-  m.pfor(live_count, [&](auto& c, std::size_t j) {
+  m.pfor(live_count, [&](pram::Ctx& c, std::size_t j) {
     rank.put(c, static_cast<std::size_t>(live.get(c, j)), 0);
   });
   // Reinsert in reverse round order.
   for (std::size_t r = round_offset.size() - 1; r-- > 0;) {
     const std::size_t lo = round_offset[r];
     const std::size_t hi = round_offset[r + 1];
-    m.pfor(hi - lo, [&](auto& c, std::size_t k) {
+    m.pfor(hi - lo, [&](pram::Ctx& c, std::size_t k) {
       const std::size_t i =
           static_cast<std::size_t>(order.get(c, lo + k));
       const std::size_t s = static_cast<std::size_t>(rem_succ.get(c, i));

@@ -1,23 +1,23 @@
 // Work-optimal EREW prefix sums (Lemma 5.1(2) of the paper) and friends.
 //
-// All functions are executor programs (exec/exec.hpp): they only touch
-// memory through executor arrays inside phases, so running them on the
-// checked PRAM executor proves they respect the EREW contract and yields
-// their step/work counts, while the Native executor runs the identical
-// code at memory speed.
+// All functions are PRAM programs: they only touch memory through
+// pram::Array cells inside machine steps, so running them on an EREW
+// pram::Machine proves they respect the access discipline and yields their
+// step/work counts.
 //
-// Scheduling: with the executor configured for P processors, an n-element
+// Scheduling: with the machine configured for P processors, an n-element
 // scan runs in O(n/P + log n) steps and O(n + P) work — the classic
 // three-phase blocked scan (sequential block reduce, Blelloch scan of the P
 // block sums, sequential block re-sweep). With P = n / log2 n this is the
 // paper's O(log n) time, O(n) work bound.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
-#include "exec/checked_pram.hpp"
 #include "par/ops.hpp"
+#include "pram/array.hpp"
+#include "pram/machine.hpp"
 #include "util/math.hpp"
 
 namespace copath::par {
@@ -28,23 +28,21 @@ using util::ceil_div;
 using util::next_pow2;
 
 /// Number of blocks (= virtual processors for the blocked phases) the
-/// executor's configuration implies for an n-element primitive.
-template <typename E>
-std::size_t block_count(const E& ex, std::size_t n) {
-  const std::size_t p = ex.processors() == 0 ? n : ex.processors();
+/// machine's configuration implies for an n-element primitive.
+inline std::size_t block_count(const pram::Machine& m, std::size_t n) {
+  const std::size_t p = m.processors() == 0 ? n : m.processors();
   return std::min(n, p);
 }
 
 /// In-place Blelloch exclusive scan over a pow2-padded scratch array.
 /// Steps: 2 log2(m), work O(m).
-template <typename E, typename A, typename Op>
-void blelloch_exclusive_pow2(E& m, A& t, Op op) {
-  using T = typename A::value_type;
+template <typename T, typename Op>
+void blelloch_exclusive_pow2(pram::Machine& m, pram::Array<T>& t, Op op) {
   const std::size_t size = t.size();
   // Up-sweep (reduce).
   for (std::size_t stride = 2; stride <= size; stride <<= 1) {
     const std::size_t count = size / stride;
-    m.pfor(count, [&](auto& c, std::size_t j) {
+    m.pfor(count, [&](pram::Ctx& c, std::size_t j) {
       const std::size_t hi = (j + 1) * stride - 1;
       const std::size_t lo = hi - stride / 2;
       t.put(c, hi, op(t.get(c, lo), t.get(c, hi)));
@@ -54,7 +52,7 @@ void blelloch_exclusive_pow2(E& m, A& t, Op op) {
   // Down-sweep.
   for (std::size_t stride = size; stride >= 2; stride >>= 1) {
     const std::size_t count = size / stride;
-    m.pfor(count, [&](auto& c, std::size_t j) {
+    m.pfor(count, [&](pram::Ctx& c, std::size_t j) {
       const std::size_t hi = (j + 1) * stride - 1;
       const std::size_t lo = hi - stride / 2;
       const T left = t.get(c, lo);
@@ -72,31 +70,16 @@ void blelloch_exclusive_pow2(E& m, A& t, Op op) {
 
 /// In-place exclusive prefix scan of `a` under `op`. a[i] becomes
 /// op(a[0], ..., a[i-1]) (identity for i = 0).
-template <typename E, typename A, typename Op = Plus<typename A::value_type>>
-void exclusive_scan(E& m, A& a, Op op = Op{}) {
-  using T = typename A::value_type;
+template <typename T, typename Op = Plus<T>>
+void exclusive_scan(pram::Machine& m, pram::Array<T>& a, Op op = Op{}) {
   const std::size_t n = a.size();
   if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto s = a.host_span();
-      T acc = Op::identity();
-      for (std::size_t i = 0; i < n; ++i) {
-        const T v = s[i];
-        s[i] = acc;
-        acc = op(acc, v);
-      }
-      m.charge_host_pass(n);
-      return;
-    }
-  }
   const std::size_t blocks = detail::block_count(m, n);
   const std::size_t block = detail::ceil_div(n, blocks);
 
-  auto sums =
-      exec::make_array<T>(m, detail::next_pow2(blocks), Op::identity());
+  pram::Array<T> sums(m, detail::next_pow2(blocks), Op::identity());
   // Phase 1: each processor reduces its contiguous block.
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     T acc = Op::identity();
@@ -107,7 +90,7 @@ void exclusive_scan(E& m, A& a, Op op = Op{}) {
   // Phase 2: exclusive scan of the block sums.
   detail::blelloch_exclusive_pow2(m, sums, op);
   // Phase 3: each processor re-sweeps its block with its offset.
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     T acc = sums.get(c, b);
@@ -121,29 +104,15 @@ void exclusive_scan(E& m, A& a, Op op = Op{}) {
 }
 
 /// In-place inclusive prefix scan: a[i] becomes op(a[0], ..., a[i]).
-template <typename E, typename A, typename Op = Plus<typename A::value_type>>
-void inclusive_scan(E& m, A& a, Op op = Op{}) {
-  using T = typename A::value_type;
+template <typename T, typename Op = Plus<T>>
+void inclusive_scan(pram::Machine& m, pram::Array<T>& a, Op op = Op{}) {
   const std::size_t n = a.size();
   if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto s = a.host_span();
-      T acc = Op::identity();
-      for (std::size_t i = 0; i < n; ++i) {
-        acc = op(acc, s[i]);
-        s[i] = acc;
-      }
-      m.charge_host_pass(n);
-      return;
-    }
-  }
   const std::size_t blocks = detail::block_count(m, n);
   const std::size_t block = detail::ceil_div(n, blocks);
 
-  auto sums =
-      exec::make_array<T>(m, detail::next_pow2(blocks), Op::identity());
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  pram::Array<T> sums(m, detail::next_pow2(blocks), Op::identity());
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     T acc = Op::identity();
@@ -152,7 +121,7 @@ void inclusive_scan(E& m, A& a, Op op = Op{}) {
     return hi - lo;
   });
   detail::blelloch_exclusive_pow2(m, sums, op);
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     T acc = sums.get(c, b);
@@ -165,25 +134,14 @@ void inclusive_scan(E& m, A& a, Op op = Op{}) {
 }
 
 /// Reduction of `a` under `op`.
-template <typename E, typename A, typename Op = Plus<typename A::value_type>>
-typename A::value_type reduce(E& m, const A& a, Op op = Op{}) {
-  using T = typename A::value_type;
+template <typename T, typename Op = Plus<T>>
+T reduce(pram::Machine& m, const pram::Array<T>& a, Op op = Op{}) {
   const std::size_t n = a.size();
   if (n == 0) return Op::identity();
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto s = a.host_span();
-      T acc = Op::identity();
-      for (std::size_t i = 0; i < n; ++i) acc = op(acc, s[i]);
-      m.charge_host_pass(n);
-      return acc;
-    }
-  }
   const std::size_t blocks = detail::block_count(m, n);
   const std::size_t block = detail::ceil_div(n, blocks);
-  auto sums =
-      exec::make_array<T>(m, detail::next_pow2(blocks), Op::identity());
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  pram::Array<T> sums(m, detail::next_pow2(blocks), Op::identity());
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     T acc = Op::identity();
@@ -194,7 +152,7 @@ typename A::value_type reduce(E& m, const A& a, Op op = Op{}) {
   // Tree reduce over the pow2 scratch.
   for (std::size_t stride = 2; stride <= sums.size(); stride <<= 1) {
     const std::size_t count = sums.size() / stride;
-    m.pfor(count, [&](auto& c, std::size_t j) {
+    m.pfor(count, [&](pram::Ctx& c, std::size_t j) {
       const std::size_t hi = (j + 1) * stride - 1;
       const std::size_t lo = hi - stride / 2;
       sums.put(c, hi, op(sums.get(c, lo), sums.get(c, hi)));
@@ -207,11 +165,10 @@ typename A::value_type reduce(E& m, const A& a, Op op = Op{}) {
 /// segment; within each segment a[i] becomes op over the segment prefix.
 /// Implemented as an ordinary scan over (flag, value) pairs with the
 /// standard segmented-combine, which stays associative.
-template <typename E, typename A, typename Op = Plus<typename A::value_type>>
-void segmented_inclusive_scan(E& m, A& a,
-                              const exec::ArrayOf<E, std::uint8_t>& flag,
+template <typename T, typename Op = Plus<T>>
+void segmented_inclusive_scan(pram::Machine& m, pram::Array<T>& a,
+                              const pram::Array<std::uint8_t>& flag,
                               Op op = Op{}) {
-  using T = typename A::value_type;
   const std::size_t n = a.size();
   COPATH_CHECK(flag.size() == n);
   if (n == 0) return;
@@ -228,30 +185,16 @@ void segmented_inclusive_scan(E& m, A& a,
                   static_cast<std::uint8_t>(lhs.reset | rhs.reset)};
     }
   };
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto av = a.host_span();
-      auto fv = flag.host_span();
-      T acc = Op::identity();
-      for (std::size_t i = 0; i < n; ++i) {
-        acc = fv[i] ? av[i] : op(acc, av[i]);
-        av[i] = acc;
-      }
-      m.charge_host_pass(n);
-      return;
-    }
-  }
-  auto pairs = exec::make_array<Pair>(m, n);
-  m.pfor(n, [&](auto& c, std::size_t i) {
+  pram::Array<Pair> pairs(m, n);
+  m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
     pairs.put(c, i, Pair{a.get(c, i), flag.get(c, i)});
   });
   // Inline inclusive scan over Pair with SegOp (blocked, as above).
   const std::size_t blocks = detail::block_count(m, n);
   const std::size_t block = detail::ceil_div(n, blocks);
   SegOp seg{op};
-  auto sums =
-      exec::make_array<Pair>(m, detail::next_pow2(blocks), SegOp::identity());
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  pram::Array<Pair> sums(m, detail::next_pow2(blocks), SegOp::identity());
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     Pair acc = SegOp::identity();
@@ -260,7 +203,7 @@ void segmented_inclusive_scan(E& m, A& a,
     return hi - lo;
   });
   detail::blelloch_exclusive_pow2(m, sums, seg);
-  m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
+  m.blocked_step(blocks, [&](pram::Ctx& c, std::size_t b) -> std::uint64_t {
     const std::size_t lo = std::min(n, b * block);
     const std::size_t hi = std::min(n, lo + block);
     Pair acc = sums.get(c, b);
@@ -275,30 +218,14 @@ void segmented_inclusive_scan(E& m, A& a,
 /// Stable compaction: copies the indices i with keep[i] != 0 into `out`
 /// (which must have capacity >= number of kept items) and returns how many
 /// were kept. O(n/P + log n) steps, O(n) work.
-template <typename E, typename AOut>
-std::size_t compact_indices(E& m,
-                            const exec::ArrayOf<E, std::uint8_t>& keep,
-                            AOut& out) {
-  using Index = typename AOut::value_type;
+template <typename Index>
+std::size_t compact_indices(pram::Machine& m,
+                            const pram::Array<std::uint8_t>& keep,
+                            pram::Array<Index>& out) {
   const std::size_t n = keep.size();
   if (n == 0) return 0;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto kv = keep.host_span();
-      auto ov = out.host_span();
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (kv[i] != 0) {
-          COPATH_CHECK(total < ov.size());
-          ov[total++] = static_cast<Index>(i);
-        }
-      }
-      m.charge_host_pass(n);
-      return total;
-    }
-  }
-  auto pos = exec::make_array<std::int64_t>(m, n);
-  m.pfor(n, [&](auto& c, std::size_t i) {
+  pram::Array<std::int64_t> pos(m, n);
+  m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
     pos.put(c, i, keep.get(c, i) != 0 ? 1 : 0);
   });
   exclusive_scan(m, pos);
@@ -306,7 +233,7 @@ std::size_t compact_indices(E& m,
       static_cast<std::size_t>(pos.host(n - 1)) +
       (keep.host(n - 1) != 0 ? 1u : 0u);
   COPATH_CHECK(out.size() >= total);
-  m.pfor(n, [&](auto& c, std::size_t i) {
+  m.pfor(n, [&](pram::Ctx& c, std::size_t i) {
     if (keep.get(c, i) != 0)
       out.put(c, static_cast<std::size_t>(pos.get(c, i)),
               static_cast<Index>(i));
@@ -315,160 +242,17 @@ std::size_t compact_indices(E& m,
 }
 
 /// Convenience: parallel fill.
-template <typename E, typename A>
-void fill(E& m, A& a, typename A::value_type value) {
-  m.pfor(a.size(), [&](auto& c, std::size_t i) { a.put(c, i, value); });
+template <typename T>
+void fill(pram::Machine& m, pram::Array<T>& a, T value) {
+  m.pfor(a.size(), [&](pram::Ctx& c, std::size_t i) { a.put(c, i, value); });
 }
 
 /// Convenience: parallel copy (same length).
-template <typename E, typename A>
-void copy(E& m, const A& src, A& dst) {
+template <typename T>
+void copy(pram::Machine& m, const pram::Array<T>& src, pram::Array<T>& dst) {
   COPATH_CHECK(src.size() == dst.size());
   m.pfor(src.size(),
-         [&](auto& c, std::size_t i) { dst.put(c, i, src.get(c, i)); });
-}
-
-/// Fused copy + exclusive scan: dst[i] becomes op(src[0], ..., src[i-1])
-/// and `src` is left untouched. On the checked simulator this expands to
-/// the exact copy-then-scan phase sequence call sites used to spell out
-/// (bit-for-bit stats); under native shortcuts the copy pass is fused away
-/// — one host sweep when small, a three-phase blocked scan that reads
-/// `src` and writes `dst` directly when large (EREW-clean: each index is
-/// touched by exactly one block in each phase, and src/dst are distinct
-/// arrays).
-template <typename E, typename A, typename Op = Plus<typename A::value_type>>
-void exclusive_scan_into(E& m, const A& src, A& dst, Op op = Op{}) {
-  using T = typename A::value_type;
-  const std::size_t n = src.size();
-  COPATH_CHECK(dst.size() == n);
-  // The fused native sweep reads src after writing dst at the same index
-  // — aliasing would silently diverge from the copy-then-scan expansion.
-  COPATH_CHECK(static_cast<const void*>(&src) !=
-               static_cast<const void*>(&dst));
-  if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto sv = src.host_span();
-      auto dv = dst.host_span();
-      T acc = Op::identity();
-      for (std::size_t i = 0; i < n; ++i) {
-        dv[i] = acc;
-        acc = op(acc, sv[i]);
-      }
-      m.charge_host_pass(n);
-      return;
-    }
-    // Fused blocked scan: phase 1 reduces src's blocks, phase 3 re-sweeps
-    // reading src and writing dst — the standalone copy pass disappears.
-    const std::size_t blocks = detail::block_count(m, n);
-    const std::size_t block = detail::ceil_div(n, blocks);
-    auto sums =
-        exec::make_array<T>(m, detail::next_pow2(blocks), Op::identity());
-    m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
-      const std::size_t lo = std::min(n, b * block);
-      const std::size_t hi = std::min(n, lo + block);
-      T acc = Op::identity();
-      for (std::size_t i = lo; i < hi; ++i) acc = op(acc, src.get(c, i));
-      sums.put(c, b, acc);
-      return hi - lo;
-    });
-    detail::blelloch_exclusive_pow2(m, sums, op);
-    m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
-      const std::size_t lo = std::min(n, b * block);
-      const std::size_t hi = std::min(n, lo + block);
-      T acc = sums.get(c, b);
-      for (std::size_t i = lo; i < hi; ++i) {
-        dst.put(c, i, acc);
-        acc = op(acc, src.get(c, i));
-      }
-      return hi - lo;
-    });
-    return;
-  } else {
-    copy(m, src, dst);
-    exclusive_scan(m, dst, op);
-  }
-}
-
-
-/// Fused inclusive (+)-scans of four same-length arrays. On the checked
-/// simulator this expands to four standalone scans in argument order
-/// (identical phases, bit-for-bit stats); under native shortcuts all four
-/// run in one blocked sweep — the memory-bound passes the Euler numbering
-/// used to make back to back collapse into a single read/write of each
-/// cache line.
-template <typename E, typename A>
-void inclusive_scan4(E& m, A& a0, A& a1, A& a2, A& a3) {
-  using T = typename A::value_type;
-  const std::size_t n = a0.size();
-  COPATH_CHECK(a1.size() == n && a2.size() == n && a3.size() == n);
-  // Four *distinct* arrays: the fused sweep scans them in lockstep, so an
-  // aliased pair would be scanned twice per pass.
-  COPATH_CHECK(&a0 != &a1 && &a0 != &a2 && &a0 != &a3 && &a1 != &a2 &&
-               &a1 != &a3 && &a2 != &a3);
-  if (n == 0) return;
-  if constexpr (exec::native_shortcuts_v<E>) {
-    if (m.sequential_ok(exec::Stage::Scan, n)) {
-      auto s0 = a0.host_span();
-      auto s1 = a1.host_span();
-      auto s2 = a2.host_span();
-      auto s3 = a3.host_span();
-      T c0{}, c1{}, c2{}, c3{};
-      for (std::size_t i = 0; i < n; ++i) {
-        s0[i] = c0 = c0 + s0[i];
-        s1[i] = c1 = c1 + s1[i];
-        s2[i] = c2 = c2 + s2[i];
-        s3[i] = c3 = c3 + s3[i];
-      }
-      m.charge_host_pass(n);
-      return;
-    }
-    struct Quad {
-      T v0, v1, v2, v3;
-    };
-    struct QuadPlus {
-      static constexpr Quad identity() { return Quad{T{}, T{}, T{}, T{}}; }
-      Quad operator()(const Quad& a, const Quad& b) const {
-        return Quad{a.v0 + b.v0, a.v1 + b.v1, a.v2 + b.v2, a.v3 + b.v3};
-      }
-    };
-    const std::size_t blocks = detail::block_count(m, n);
-    const std::size_t block = detail::ceil_div(n, blocks);
-    auto sums = exec::make_array<Quad>(m, detail::next_pow2(blocks),
-                                       QuadPlus::identity());
-    m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
-      const std::size_t lo = std::min(n, b * block);
-      const std::size_t hi = std::min(n, lo + block);
-      Quad acc = QuadPlus::identity();
-      for (std::size_t i = lo; i < hi; ++i) {
-        acc.v0 += a0.get(c, i);
-        acc.v1 += a1.get(c, i);
-        acc.v2 += a2.get(c, i);
-        acc.v3 += a3.get(c, i);
-      }
-      sums.put(c, b, acc);
-      return hi - lo;
-    });
-    detail::blelloch_exclusive_pow2(m, sums, QuadPlus{});
-    m.blocked_step(blocks, [&](auto& c, std::size_t b) -> std::uint64_t {
-      const std::size_t lo = std::min(n, b * block);
-      const std::size_t hi = std::min(n, lo + block);
-      Quad acc = sums.get(c, b);
-      for (std::size_t i = lo; i < hi; ++i) {
-        a0.put(c, i, acc.v0 += a0.get(c, i));
-        a1.put(c, i, acc.v1 += a1.get(c, i));
-        a2.put(c, i, acc.v2 += a2.get(c, i));
-        a3.put(c, i, acc.v3 += a3.get(c, i));
-      }
-      return hi - lo;
-    });
-    return;
-  } else {
-    inclusive_scan(m, a0);
-    inclusive_scan(m, a1);
-    inclusive_scan(m, a2);
-    inclusive_scan(m, a3);
-  }
+         [&](pram::Ctx& c, std::size_t i) { dst.put(c, i, src.get(c, i)); });
 }
 
 }  // namespace copath::par

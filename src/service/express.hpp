@@ -4,7 +4,8 @@
 // Lemma 2.3 sweep -> verdicts -> optional cycle -> optional validate, with
 // the binarized tree built once in the caller's exec::Arena and shared by
 // the sweep and every verdict. Every host-sweep request (Backend::Sequential
-// and its alias Backend::Adaptive) reaches it through the same calls:
+// and its aliases Backend::Native and Backend::Adaptive) reaches it through
+// the same calls:
 // Solver::solve, Solver::solve_batch, a Service single solve and a Service
 // batch group. Results are therefore bitwise-identical whichever caller
 // ran it, and a warm thread solves without heap allocations beyond the
@@ -22,8 +23,8 @@
 
 namespace copath::service {
 
-/// True when `opts` selects the host sweep (Backend::Sequential or
-/// Backend::Adaptive), at every size: the express lane then answers with
+/// True when `opts` selects the host sweep (Backend::Sequential or one of
+/// its aliases, Native and Adaptive), at every size: the express lane then answers with
 /// results identical to Solver::solve. `n` is unused; the signature is
 /// kept for existing callers.
 [[nodiscard]] bool express_eligible(std::size_t n, const SolveOptions& opts);

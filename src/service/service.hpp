@@ -17,7 +17,7 @@
 //    fulfilled from the one result. Concurrent identical requests compute
 //    once.
 //  * Express lane — every host-sweep request (Backend::Sequential, the
-//    default, and its alias Backend::Adaptive) skips backend/registry
+//    default, and its aliases Native and Adaptive) skips backend/registry
 //    dispatch entirely and runs parse -> binarize -> sequential sweep
 //    inline on the worker thread (service/express.hpp), with all scratch
 //    drawn from the worker's thread-local exec::Arena. Steady-state

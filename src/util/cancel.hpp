@@ -4,18 +4,18 @@
 // Threads are never killed. A CancelToken is a tiny shared state — an
 // atomic trip flag with a reason, an optional absolute deadline, and a
 // heartbeat timestamp — that the Service (or a test) hands to a solve via
-// SolveOptions::cancel. The exec layer polls it at pipeline stage
-// boundaries and inside Native's blocked pfor chunks:
+// SolveOptions::cancel. Solves poll it on the thread driving them:
 //
-//  * pool-thread chunks call poll() and bail out of their chunk early when
-//    the token trips (they must not throw — see util::ThreadPool's
-//    contract), leaving partially-written scratch behind;
-//  * the coordinator thread calls checkpoint() after every parallel phase,
-//    which throws CancelledError *before* any dependent stage can read
-//    that partial scratch. The throw unwinds through the normal
-//    Solver::solve error path into a structured failed SolveResult whose
-//    .error is exactly kCancelledMsg or kDeadlineMsg (the service/wire
-//    layers map those strings to Status codes).
+//  * the sweep and the PRAM pipeline check it once before any work, and
+//    the batch core checks the frame's token between groups;
+//  * the Theorem 5.3 pipeline (core/pipeline.cpp) also calls checkpoint()
+//    at every stage boundary and every repair round, so a long PRAM solve
+//    stops within one stage once the token trips.
+//
+// checkpoint() throws CancelledError, which unwinds through the normal
+// Solver::solve error path into a structured failed SolveResult whose
+// .error is exactly kCancelledMsg or kDeadlineMsg (the service/wire layers
+// map those strings to Status codes).
 //
 // poll() doubles as the progress heartbeat: every call stamps
 // last_beat_ms, which the Service watchdog reads to distinguish a slow
@@ -99,8 +99,7 @@ class CancelToken {
 
   /// Heartbeat + deadline check + trip test, in one call. Stamps progress,
   /// self-trips with Reason::kDeadline when the armed deadline has passed,
-  /// and returns whether the token is (now) tripped. Never throws — this
-  /// is the form pool-thread chunks use to decide "bail out of my chunk".
+  /// and returns whether the token is (now) tripped. Never throws.
   bool poll() noexcept {
     const std::uint64_t now = steady_now_ms();
     last_beat_ms_.store(now, std::memory_order_relaxed);
@@ -113,9 +112,9 @@ class CancelToken {
     return false;
   }
 
-  /// poll(), then throw CancelledError if tripped. Coordinator-thread
-  /// only: pool workers must use poll() (util::ThreadPool terminates the
-  /// process on an escaping exception).
+  /// poll(), then throw CancelledError if tripped. Only on the thread
+  /// driving the solve: never inside a util::ThreadPool task (the pool
+  /// terminates the process on an escaping exception).
   void checkpoint() {
     if (poll()) [[unlikely]]
       throw CancelledError(message(reason()));

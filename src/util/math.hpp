@@ -1,4 +1,4 @@
-// Small integer helpers shared by the parallel primitives and executors.
+// Small integer helpers shared by the parallel primitives and host code.
 //
 // These used to be copy-pasted per header (par/scan.hpp, par/brackets.hpp);
 // they live here so every layer agrees on the same rounding conventions.

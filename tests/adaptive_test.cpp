@@ -1,10 +1,10 @@
-// Backend::Adaptive — an alias of Backend::Sequential kept for the wire
-// (byte 8) and existing clients. The contract under test: Adaptive is
-// registered under its own name, and its answers are bitwise-equal to
-// Backend::Sequential — covers, minima, verdicts, routed == Sequential —
-// across family sweeps, 120 random instances, solve_batch, Service
-// concurrency, and the wire; the Service default is Sequential itself, and
-// no entry point claims a thread lease.
+// Backend::Adaptive and Backend::Native — aliases of Backend::Sequential
+// kept for the wire (bytes 8 and 7) and existing clients. The contract
+// under test: each alias is registered under its own name, and its answers
+// are bitwise-equal to Backend::Sequential — covers, minima, verdicts,
+// routed == Sequential — across family sweeps, 120 random instances,
+// solve_batch, Service concurrency, counting, and the wire; the Service
+// default is Sequential itself, and no entry point claims a thread lease.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -156,10 +156,11 @@ void expect_sequential_answer(const SolveResult& got, Backend backend,
 }
 
 TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
-  // Explicit Adaptive requests through Solver::solve, Service::submit and
-  // wire byte 8 answer bitwise-equal to Sequential with routed ==
-  // Sequential; a default Service answer reports Sequential; and no miss
-  // or batch claims a thread lease, including at n = 2^14.
+  // Explicit Adaptive and Native requests through Solver::solve,
+  // Solver::count, Service::submit and wire bytes 8 and 7 answer
+  // bitwise-equal to Sequential with routed == Sequential; a default
+  // Service answer reports Sequential; and no miss or batch claims a
+  // thread lease, including at n = 2^14.
   constexpr std::size_t kBig = std::size_t{1} << 14;
   std::vector<Cotree> keep;
   for (unsigned i = 0; i < 6; ++i) {
@@ -170,8 +171,9 @@ TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
 
   SolveOptions ada;
   ada.backend = Backend::Adaptive;
-  const Solver adaptive(ada);
   const Solver sequential;  // Backend::Sequential defaults
+  const std::vector<std::pair<Backend, std::uint8_t>> aliases = {
+      {Backend::Adaptive, 8}, {Backend::Native, 7}};
 
   Service::Options sopts;
   sopts.workers = 2;
@@ -180,11 +182,6 @@ TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
 
   LoopbackDaemon daemon;
   net::Client cli("127.0.0.1", daemon.server.port());
-  net::protocol::WireOptions wire;
-  wire.flags =
-      net::protocol::kOptWantVerdicts | net::protocol::kOptExplicitBackend;
-  wire.backend = static_cast<std::uint8_t>(Backend::Adaptive);
-  ASSERT_EQ(wire.backend, 8);
 
   for (std::size_t i = 0; i < keep.size(); ++i) {
     const Cotree& t = keep[i];
@@ -192,12 +189,9 @@ TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
                              " n=" + std::to_string(t.vertex_count());
     const SolveResult want = sequential.solve(Instance::view(t));
     ASSERT_TRUE(want.ok) << what << ": " << want.error;
-
-    expect_sequential_answer(adaptive.solve(Instance::view(t)),
-                             Backend::Adaptive, want, what + " solver");
-    expect_sequential_answer(
-        svc.submit(SolveRequest{Instance::view(t), ada, "a"}).get(),
-        Backend::Adaptive, want, what + " service adaptive");
+    const CountResult want_count =
+        sequential.count(SolveRequest{Instance::view(t), {}, {}});
+    ASSERT_TRUE(want_count.ok) << what << ": " << want_count.error;
     expect_sequential_answer(
         svc.submit(SolveRequest{Instance::view(t), {}, "d"}).get(),
         Backend::Sequential, want, what + " service default");
@@ -207,20 +201,47 @@ TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
     const std::string text = t.format();
     const SolveResult want_text = sequential.solve(Instance::text(text));
     ASSERT_TRUE(want_text.ok) << what;
-    const net::protocol::Response res = cli.solve_text(text, wire);
-    ASSERT_EQ(res.status, net::protocol::Status::Ok) << what << res.error;
-    ASSERT_EQ(res.result.paths.size(), want_text.cover.paths.size()) << what;
-    for (std::size_t p = 0; p < res.result.paths.size(); ++p) {
-      const auto& want_path = want_text.cover.paths[p];
-      EXPECT_EQ(res.result.paths[p],
-                std::vector<std::uint32_t>(want_path.begin(), want_path.end()))
-          << what << " path " << p;
+
+    for (const auto& [alias, byte] : aliases) {
+      const std::string as = what + " " + core::to_string(alias);
+      SolveOptions opts;
+      opts.backend = alias;
+      const Solver solver(opts);
+      expect_sequential_answer(solver.solve(Instance::view(t)), alias, want,
+                               as + " solver");
+      expect_sequential_answer(
+          svc.submit(SolveRequest{Instance::view(t), opts, "a"}).get(),
+          alias, want, as + " service");
+
+      const CountResult c =
+          solver.count(SolveRequest{Instance::view(t), {}, {}});
+      ASSERT_TRUE(c.ok) << as << ": " << c.error;
+      EXPECT_EQ(c.vertex_count, want_count.vertex_count) << as;
+      EXPECT_EQ(c.path_cover_size, want_count.path_cover_size) << as;
+      EXPECT_EQ(c.hamiltonian_path, want_count.hamiltonian_path) << as;
+      EXPECT_EQ(c.hamiltonian_cycle, want_count.hamiltonian_cycle) << as;
+      EXPECT_FALSE(c.stats_valid) << as;
+
+      net::protocol::WireOptions wire;
+      wire.flags = net::protocol::kOptWantVerdicts |
+                   net::protocol::kOptExplicitBackend;
+      wire.backend = static_cast<std::uint8_t>(alias);
+      ASSERT_EQ(wire.backend, byte) << as;
+      const net::protocol::Response res = cli.solve_text(text, wire);
+      ASSERT_EQ(res.status, net::protocol::Status::Ok) << as << res.error;
+      ASSERT_EQ(res.result.paths.size(), want_text.cover.paths.size()) << as;
+      for (std::size_t p = 0; p < res.result.paths.size(); ++p) {
+        const auto& want_path = want_text.cover.paths[p];
+        EXPECT_EQ(res.result.paths[p], std::vector<std::uint32_t>(
+                                           want_path.begin(), want_path.end()))
+            << as << " path " << p;
+      }
+      EXPECT_EQ(res.result.optimal_size, want_text.optimal_size) << as;
+      EXPECT_EQ(res.result.hamiltonian_path, want_text.hamiltonian_path)
+          << as;
+      EXPECT_EQ(res.result.hamiltonian_cycle, want_text.hamiltonian_cycle)
+          << as;
     }
-    EXPECT_EQ(res.result.optimal_size, want_text.optimal_size) << what;
-    EXPECT_EQ(res.result.hamiltonian_path, want_text.hamiltonian_path)
-        << what;
-    EXPECT_EQ(res.result.hamiltonian_cycle, want_text.hamiltonian_cycle)
-        << what;
   }
 
   // A batch of fresh n = 2^14 instances (default and Adaptive members).
@@ -240,7 +261,7 @@ TEST(Adaptive, AliasAnswersLikeSequentialOnEveryEntryPoint) {
 
   const auto stats = svc.stats();
   EXPECT_EQ(stats.lease_acquires, 0u);
-  EXPECT_EQ(stats.express_solves, 2 * keep.size());
+  EXPECT_EQ(stats.express_solves, (1 + aliases.size()) * keep.size());
   EXPECT_EQ(stats.packed_solves, 2u);
 }
 
@@ -250,6 +271,28 @@ TEST(Adaptive, CountRoutesHostSweepAndMatchesVerdicts) {
   const Solver solver(aopt);
   for (const auto& t : testing::large_families()) {
     const auto c = solver.count(SolveRequest{Instance::view(t), {}, {}});
+    ASSERT_TRUE(c.ok) << c.error;
+    EXPECT_EQ(c.path_cover_size, path_cover_size(t));
+    EXPECT_EQ(c.hamiltonian_path, has_hamiltonian_path(t));
+    EXPECT_EQ(c.hamiltonian_cycle, has_hamiltonian_cycle(t));
+    EXPECT_FALSE(c.stats_valid);
+  }
+}
+
+TEST(NativeBackend, RegisteredAndSelectableThroughSolver) {
+  auto& reg = BackendRegistry::instance();
+  const auto entry = reg.find(Backend::Native);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->name, "native");
+  EXPECT_TRUE(entry->exact);
+  EXPECT_EQ(core::backend_from_string("native"), Backend::Native);
+}
+
+TEST(NativeBackend, CountAndVerdictHelpersAgreeWithHost) {
+  for (const auto& t : testing::large_families()) {
+    SolveOptions opts;
+    opts.backend = Backend::Native;
+    const auto c = Solver(opts).count(SolveRequest{Instance::view(t), {}, {}});
     ASSERT_TRUE(c.ok) << c.error;
     EXPECT_EQ(c.path_cover_size, path_cover_size(t));
     EXPECT_EQ(c.hamiltonian_path, has_hamiltonian_path(t));

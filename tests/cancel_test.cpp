@@ -124,11 +124,11 @@ TEST(CancelToken, ConcurrentTripsAgreeOnOneReason) {
 
 // --------------------------------------------------- Solver-level unwind
 
-/// Every backend checks the token once before solving (a pre-tripped
-/// token never does work); Native and Adaptive additionally checkpoint
-/// at each pipeline stage boundary, which is where mid-solve trips land.
+/// Every backend here checks the token once before solving (a pre-tripped
+/// token never does work); Pram and Parallel additionally checkpoint at
+/// each pipeline stage boundary, which is where mid-solve trips land.
 std::vector<Backend> cancel_backends() {
-  return {Backend::Sequential, Backend::Parallel, Backend::Native,
+  return {Backend::Sequential, Backend::Parallel, Backend::Pram,
           Backend::Adaptive};
 }
 
@@ -192,7 +192,7 @@ TEST(CancelSolve, ArmedButUntrippedTokenChangesNothing) {
   for (unsigned i = 0; i < 6; ++i) {
     const Cotree t = testing::random_cotree(40 + i * 90, 9100 + i);
     SolveOptions plain;
-    plain.backend = Backend::Native;
+    plain.backend = Backend::Pram;
     const SolveResult want = Solver(plain).solve(Instance::view(t));
     ASSERT_TRUE(want.ok) << want.error;
 
@@ -221,8 +221,8 @@ TEST(CancelSolve, ArmedButUntrippedTokenChangesNothing) {
 TEST(CancelSolve, BatchMembersAfterATripAreCancelledToo) {
   // solve_batch shares one coordinator: once the token trips, remaining
   // members answer structurally instead of burning CPU — on the pool
-  // (Native) and in the fused host-sweep lane (Sequential) alike.
-  for (const Backend b : {Backend::Native, Backend::Sequential}) {
+  // (Pram) and in the fused host-sweep lane (Sequential) alike.
+  for (const Backend b : {Backend::Pram, Backend::Sequential}) {
     util::CancelToken tok;
     std::vector<Cotree> trees;
     std::vector<SolveRequest> reqs;
@@ -247,6 +247,43 @@ TEST(CancelSolve, BatchMembersAfterATripAreCancelledToo) {
       EXPECT_EQ(res.error, util::kCancelledMsg) << core::to_string(b);
     }
   }
+}
+
+TEST(CancelSolve, PramTripMidSolveStopsWithinAStage) {
+  // A Pram solve at n = 2^14 runs for a long while on the checked
+  // simulator. A token tripped ~50 ms in must stop it at the next stage
+  // boundary: the answer is Cancelled, and it arrives well before an
+  // uncancelled solve of the same instance finishes.
+  const Cotree t = testing::random_cotree(std::size_t{1} << 14, 4246);
+  SolveOptions opts;
+  opts.backend = Backend::Pram;
+  const auto millis_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
+  const auto t_full = std::chrono::steady_clock::now();
+  const SolveResult full = Solver(opts).solve(Instance::view(t));
+  const double full_ms = millis_since(t_full);
+  ASSERT_TRUE(full.ok) << full.error;
+
+  util::CancelToken tok;
+  opts.cancel = &tok;
+  const auto t_cut = std::chrono::steady_clock::now();
+  std::thread tripper([&tok] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    tok.cancel(util::CancelToken::Reason::kCancelled);
+  });
+  const SolveResult cut = Solver(opts).solve(Instance::view(t));
+  const double cut_ms = millis_since(t_cut);
+  tripper.join();
+
+  EXPECT_FALSE(cut.ok);
+  EXPECT_EQ(cut.error, util::kCancelledMsg);
+  EXPECT_LT(cut_ms, full_ms / 2)
+      << "cancelled solve took " << cut_ms << " ms; uncancelled " << full_ms
+      << " ms";
 }
 
 // ------------------------------------------------- batch core frame token
@@ -302,9 +339,9 @@ TEST(CancelBatch, TripMidBatchStopsTheGroupsAfterIt) {
   for (const auto& t : trees) {
     reqs.push_back(SolveRequest{Instance::view(t), {}, {}});
   }
-  SolveOptions native;
-  native.backend = Backend::Native;
-  reqs[2].options = native;
+  SolveOptions pram_opts;
+  pram_opts.backend = Backend::Pram;
+  reqs[2].options = pram_opts;
   reqs.front().cancel = tok;
   service::BatchOutcome outcome;
   const auto results = service::solve_batch_fused(
@@ -336,7 +373,7 @@ TEST(WatchdogService, DeadlineTripsMidSolveNotJustAtAdmission) {
   Service::Options sopts;
   sopts.workers = 1;
   sopts.use_cache = false;
-  sopts.solve.backend = Backend::Native;
+  sopts.solve.backend = Backend::Pram;
   Service svc(sopts);
   const Cotree t = testing::random_cotree(600, 31007);
   SolveRequest req;
@@ -361,7 +398,7 @@ TEST(WatchdogService, SilentWorkerIsTrippedWithinTheInterval) {
   sopts.workers = 1;
   sopts.use_cache = false;
   sopts.watchdog_ms = 50;
-  sopts.solve.backend = Backend::Native;
+  sopts.solve.backend = Backend::Pram;
   Service svc(sopts);
   util::FaultInjector::instance().arm("solve.stall", 1.0, 1);
 
@@ -392,18 +429,22 @@ TEST(WatchdogService, SilentWorkerIsTrippedWithinTheInterval) {
 
 TEST(WatchdogService, BeatingSolvesAreNeverTripped) {
   // A healthy (heartbeating) solve under a tight watchdog must complete
-  // normally — the watchdog watches silence, not latency.
+  // normally — the watchdog watches silence, not latency. A Pram solve
+  // beats at its stage boundaries. The interval is over 4x the slowest
+  // stage measured at these sizes in the sanitizer builds (n = 340: ~22 ms
+  // under ASan+UBSan, ~280 ms under TSan, where a whole solve outlasts the
+  // interval).
   util::FaultInjector::instance().disarm_all();
   Service::Options sopts;
   sopts.workers = 2;
   sopts.use_cache = false;
-  sopts.watchdog_ms = 40;
-  sopts.solve.backend = Backend::Native;
+  sopts.watchdog_ms = 1200;
+  sopts.solve.backend = Backend::Pram;
   Service svc(sopts);
   std::vector<std::future<SolveResult>> futs;
   std::vector<Cotree> trees;
   for (unsigned i = 0; i < 8; ++i) {
-    trees.push_back(testing::random_cotree(500 + i * 40, 6200 + i));
+    trees.push_back(testing::random_cotree(200 + i * 20, 6200 + i));
   }
   for (const auto& t : trees) {
     SolveRequest req;

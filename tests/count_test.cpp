@@ -5,6 +5,7 @@
 #include "baseline/brute_force.hpp"
 #include "cograph/families.hpp"
 #include "core/count.hpp"
+#include "par/euler.hpp"
 #include "util/rng.hpp"
 
 namespace copath::core {

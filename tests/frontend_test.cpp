@@ -314,7 +314,8 @@ TEST(ExpressLane, BitwiseEqualToTheGenericDispatchPath) {
 }
 
 TEST(ExpressLane, EligibleForEveryHostSweepRequest) {
-  for (const Backend b : {Backend::Sequential, Backend::Adaptive}) {
+  for (const Backend b :
+       {Backend::Sequential, Backend::Native, Backend::Adaptive}) {
     SolveOptions opts;
     opts.backend = b;
     for (const std::size_t n :
@@ -323,7 +324,7 @@ TEST(ExpressLane, EligibleForEveryHostSweepRequest) {
           << core::to_string(b) << " n=" << n;
     }
   }
-  for (const Backend b : {Backend::Native, Backend::Pram, Backend::Parallel}) {
+  for (const Backend b : {Backend::Pram, Backend::Parallel}) {
     SolveOptions opts;
     opts.backend = b;
     EXPECT_FALSE(service::express_eligible(4, opts)) << core::to_string(b);
@@ -359,11 +360,11 @@ TEST(ExpressLane, ServiceSmallRequestsClaimNoNativeThreadLease) {
   EXPECT_EQ(stats.express_solves, stats.cache_misses);
   EXPECT_GT(stats.express_solves, 0u);
 
-  // An explicit Native request takes the generic path, still lease-free.
-  SolveOptions native = sopts.solve;
-  native.backend = Backend::Native;
+  // An explicit Pram request takes the generic path, still lease-free.
+  SolveOptions pram_opts = sopts.solve;
+  pram_opts.backend = Backend::Pram;
   const Cotree t = testing::random_cotree(60, 1);  // outlives the worker
-  auto f = svc.submit(SolveRequest{Instance::view(t), native, "native"});
+  auto f = svc.submit(SolveRequest{Instance::view(t), pram_opts, "pram"});
   ASSERT_TRUE(f.get().ok);
   EXPECT_EQ(svc.stats().express_solves, stats.express_solves);
   EXPECT_EQ(svc.stats().lease_acquires, 0u);

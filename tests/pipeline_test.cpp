@@ -8,6 +8,7 @@
 #include "copath_solver.hpp"
 #include "core/count.hpp"
 #include "core/pipeline.hpp"
+#include "testing.hpp"
 #include "util/rng.hpp"
 
 namespace copath::core {
@@ -60,9 +61,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{150, 8, 4, par::RankEngine::Contract},
                       // procs = 0: every pfor is ONE maximally parallel
                       // checked step — no cross-item access can hide in
-                      // Brent chunking. This is exactly the EREW-clean
-                      // property exec::Native's direct one-pass execution
-                      // relies on (see exec/native.hpp).
+                      // Brent chunking.
                       Shape{60, 0, 1, par::RankEngine::Contract},
                       Shape{60, 0, 2, par::RankEngine::Wyllie}),
     [](const ::testing::TestParamInfo<Shape>& info) {
@@ -120,6 +119,79 @@ TEST(Pipeline, WorkerCountDoesNotChangeResult) {
     } else {
       EXPECT_EQ(res.cover.paths, first) << "workers=" << workers;
     }
+  }
+}
+
+// ------------------------------------------------------ Unchecked differential
+// The same stage code with conflict checking off (Policy::Unchecked) must
+// answer exactly like the checked EREW run, and agree with the Reference
+// pipeline on minima and verdicts.
+
+void expect_unchecked_matches(const SolveResult& got, const SolveResult& erew,
+                              const SolveResult& ref, const std::string& what) {
+  ASSERT_TRUE(got.ok) << what << ": " << got.error;
+  ASSERT_TRUE(erew.ok) << what << ": " << erew.error;
+  ASSERT_TRUE(ref.ok) << what << ": " << ref.error;
+  EXPECT_EQ(got.cover.paths, erew.cover.paths) << what;
+  EXPECT_EQ(got.optimal_size, erew.optimal_size) << what;
+  EXPECT_EQ(got.cover.paths.size(), ref.cover.paths.size()) << what;
+  EXPECT_EQ(got.optimal_size, ref.optimal_size) << what;
+  EXPECT_TRUE(got.minimum) << what;
+  EXPECT_EQ(got.hamiltonian_path, ref.hamiltonian_path) << what;
+  EXPECT_EQ(got.hamiltonian_cycle, ref.hamiltonian_cycle) << what;
+}
+
+TEST(UncheckedPram, CoversMinimaAndVerdictsMatchPramOnEveryFamily) {
+  SolveOptions erew;
+  erew.backend = Backend::Pram;
+  SolveOptions ref;
+  ref.backend = Backend::Reference;
+  for (const auto& t : testing::large_families()) {
+    const SolveResult want = Solver(erew).solve(Instance::view(t));
+    const SolveResult oracle = Solver(ref).solve(Instance::view(t));
+    for (const std::size_t workers : {1u, 2u}) {
+      SolveOptions opts = erew;
+      opts.policy = Policy::Unchecked;
+      opts.workers = workers;
+      opts.validate = true;
+      const SolveResult got = Solver(opts).solve(Instance::view(t));
+      const std::string what = "n=" + std::to_string(t.vertex_count()) +
+                               " workers=" + std::to_string(workers);
+      expect_unchecked_matches(got, want, oracle, what);
+      EXPECT_TRUE(got.validation.ok) << what << ": " << got.validation.error;
+    }
+  }
+}
+
+TEST(UncheckedPram, RandomBatchOf120MatchesPramInstanceByInstance) {
+  // >= 100 random instances through solve_batch on the unchecked machine,
+  // instance by instance against checked EREW solves and the Reference.
+  std::vector<Cotree> keep;
+  keep.reserve(120);
+  for (unsigned i = 0; i < 120; ++i) {
+    keep.push_back(testing::random_cotree(1 + (i * 13) % 150, 424200 + i));
+  }
+  std::vector<SolveRequest> reqs(keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    reqs[i].instance = Instance::view(keep[i]);
+  }
+
+  SolveOptions uopt;
+  uopt.backend = Backend::Pram;
+  uopt.policy = Policy::Unchecked;
+  uopt.batch_workers = 3;
+  Solver usolver(uopt);
+  const auto got = usolver.solve_batch(reqs);
+
+  SolveOptions erew;
+  erew.backend = Backend::Pram;
+  SolveOptions ref;
+  ref.backend = Backend::Reference;
+  ASSERT_EQ(got.size(), keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    expect_unchecked_matches(got[i], Solver(erew).solve(Instance::view(keep[i])),
+                             Solver(ref).solve(Instance::view(keep[i])),
+                             "instance " + std::to_string(i));
   }
 }
 

@@ -200,6 +200,20 @@ TEST(Machine, ViolationClearsAndMachineRemainsUsable) {
       m.step(4, [&](Ctx& c, std::size_t i) { a.put(c, i, 1); }));
 }
 
+TEST(Machine, StillRaisesPramViolationOnSeededErewBreach) {
+  Machine m(cfg(Policy::EREW));
+  Array<std::int64_t> a(m, 8, 0);
+  // Two processors write the same cell in one step: WRITE/WRITE breach.
+  EXPECT_THROW(m.step(2, [&](Ctx& c, std::size_t) { a.put(c, 3, 1); }),
+               PramViolation);
+  // Concurrent read of one cell is equally illegal under EREW...
+  EXPECT_THROW(m.step(2, [&](Ctx& c, std::size_t) { (void)a.get(c, 5); }),
+               PramViolation);
+  // ...and the machine stays usable afterwards for clean steps.
+  m.step(8, [&](Ctx& c, std::size_t p) { a.put(c, p, 7); });
+  EXPECT_EQ(a.host(4), 7);
+}
+
 TEST(Policy, Names) {
   EXPECT_STREQ(to_string(Policy::EREW), "EREW");
   EXPECT_STREQ(to_string(Policy::CRCW_Common), "CRCW(common)");
