@@ -1,12 +1,11 @@
 // E7 — the PRAM simulator substrate itself (substitution validity,
-// DESIGN.md §2): overhead of conflict checking, scaling over worker
-// threads, and the cost model's insensitivity to the physical backend.
-// Driven through core::probe_scan_substrate, the facade's substrate probe
-// (the machine wiring lives in src/).
+// DESIGN.md §2): the overhead of conflict checking, and the cost model's
+// insensitivity to it. Driven through core::probe_scan_substrate, the
+// facade's substrate probe (the machine wiring lives in src/).
 //
-// Note: the host may have a single core; simulated steps/work are identical
-// for every worker count by construction — that is the point of the model.
-// Run with --json to write BENCH_pram_backend.json.
+// The machine runs every step on one host thread; simulated steps/work are
+// identical in checked and unchecked mode by construction — that is the
+// point of the model. Run with --json to write BENCH_pram_backend.json.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -17,11 +16,9 @@ using namespace copath;
 
 bench::JsonReport* g_json = nullptr;
 
-core::BackendConfig probe_config(std::size_t n, bool checked,
-                                 std::size_t workers) {
+core::BackendConfig probe_config(std::size_t n, bool checked) {
   core::BackendConfig cfg;
   cfg.policy = checked ? pram::Policy::EREW : pram::Policy::Unchecked;
-  cfg.workers = workers;
   cfg.processors = n / 18;
   return cfg;
 }
@@ -29,22 +26,19 @@ core::BackendConfig probe_config(std::size_t n, bool checked,
 void backend_table() {
   bench::banner(
       "E7: PRAM simulator backend",
-      "Simulated steps/work must be identical across workers and checked "
-      "vs unchecked modes; wall time varies. (Host may be single-core; the "
-      "complexity claims rest on the simulated counts, not wall time.)");
+      "Simulated steps/work must be identical in checked and unchecked "
+      "mode; wall time varies. (The complexity claims rest on the "
+      "simulated counts, not wall time.)");
   const std::size_t n = 1 << 18;
-  util::Table t({"mode", "workers", "steps", "work", "wall_ms"});
-  const auto emit = [&](const char* mode, std::size_t workers,
-                        const core::ScanProbeResult& res) {
+  util::Table t({"mode", "steps", "work", "wall_ms"});
+  const auto emit = [&](const char* mode, const core::ScanProbeResult& res) {
     t.row({util::Table::S(mode),
-           util::Table::I(static_cast<long long>(workers)),
            util::Table::I(static_cast<long long>(res.stats.steps)),
            util::Table::I(static_cast<long long>(res.stats.work)),
            util::Table::F(res.wall_ms)});
     if (g_json != nullptr) {
       g_json->row("backend_table",
                   {{"n", static_cast<double>(n)},
-                   {"workers", static_cast<double>(workers)},
                    {"steps", static_cast<double>(res.stats.steps)},
                    {"work", static_cast<double>(res.stats.work)},
                    {"wall_ms", res.wall_ms}},
@@ -52,10 +46,8 @@ void backend_table() {
     }
   };
   for (const bool checked : {false, true}) {
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-      emit(checked ? "EREW-checked" : "unchecked", workers,
-           core::probe_scan_substrate(n, probe_config(n, checked, workers)));
-    }
+    emit(checked ? "EREW-checked" : "unchecked",
+         core::probe_scan_substrate(n, probe_config(n, checked)));
   }
   t.print(std::cout);
   std::cout << std::endl;

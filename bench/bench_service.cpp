@@ -1,9 +1,12 @@
 // E10 — the service layer: canonical memo cache and duplicate coalescing.
 //
-// The acceptance claim for the service PR: warm-cache solve on repeated or
-// permuted/relabeled instances is >= 5x faster than the cold path (a hit
-// pays canonicalization + a cover remap instead of the solve), and
-// a duplicate-heavy concurrent burst computes once instead of N times.
+// What it measures: warm-cache solves of repeated or permuted/relabeled
+// instances against the cold path (a hit pays canonicalization + a cover
+// remap instead of the solve), and a duplicate-heavy concurrent burst that
+// computes once instead of N times. The committed BENCH_service.json reads
+// warm 2.3-2.8x over cold at n = 4096 and 16384: the cold side runs the
+// O(n) sweep, so a hit saves little more than half the request. The bench
+// reports the ratio; it has no pass/fail bar.
 // Run with --json to write BENCH_service.json for the perf trajectory.
 #include <benchmark/benchmark.h>
 
@@ -38,7 +41,8 @@ void cold_vs_warm_table() {
       "The same batch served three times: cold (every request computes), "
       "warm-repeat (identical instances; pure hits), warm-permuted "
       "(shuffled+relabeled twins; hits replayed through each instance's "
-      "leaf permutation). Acceptance bar: warm >= 5x over cold.");
+      "leaf permutation). Measured (BENCH_service.json): warm 2.3-2.8x "
+      "over cold; reported, not gated.");
   util::Table table({"n", "batch", "phase", "total_ms", "speedup"});
   util::Rng twin_rng(20260726);
   for (const std::size_t lg : {12u, 14u}) {

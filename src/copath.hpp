@@ -30,12 +30,17 @@
 //   cograph::Graph, recognize_cograph                   graph-side substrate
 //   pram::Machine / Policy / Stats                      the PRAM simulator
 //                                                       the pipeline runs on
+//                                                       (one host thread;
+//                                                       its claims are the
+//                                                       step/work counts)
 //
 // Compatibility layer (free functions predating the Solver facade; they
 // delegate to the same engines and remain supported):
 //   core::min_path_cover_sequential                     Lemma 2.3, O(n)
 //   core::min_path_cover_parallel / _pram               Theorem 5.3, EREW
 //                                                       O(log n) / O(n) work
+//                                                       (_parallel: paper
+//                                                       budget, no knobs)
 //   core::path_cover_size, path_counts_pram             Lemma 2.4
 //   core::has_hamiltonian_path / _cycle, constructors   the §1 corollary
 //   core::validate_path_cover                           independent checker

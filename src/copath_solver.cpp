@@ -123,7 +123,6 @@ SolveResult Solver::solve_with(const Instance& inst,
     }
 
     core::BackendConfig cfg;
-    cfg.workers = opts.workers;
     cfg.processors = opts.processors;
     cfg.policy = opts.policy;
     cfg.pipeline = opts.pipeline;
@@ -225,12 +224,11 @@ std::vector<SolveResult> Solver::solve_batch(
     }
   }
 
-  // One instance per pool worker: the per-instance machine runs inline.
+  // One instance per pool worker.
   pool_->parallel_for(0, pooled.size(), [&](std::size_t k) {
     const std::size_t i = pooled[k];
-    SolveOptions opts = reqs[i].options.value_or(defaults_);
-    opts.workers = 1;
-    results[i] = solve_with(reqs[i].instance, reqs[i].label, opts);
+    results[i] = solve_with(reqs[i].instance, reqs[i].label,
+                            reqs[i].options.value_or(defaults_));
   });
   return results;
 }
@@ -256,7 +254,6 @@ CountResult Solver::count(const SolveRequest& req) const {
     util::WallTimer timer;
     if (core::uses_pram_machine(opts.backend)) {
       core::BackendConfig cfg;
-      cfg.workers = opts.workers;
       cfg.processors = opts.processors;
       cfg.policy = opts.policy;
       cfg = core::apply_backend_contract(opts.backend, cfg);
@@ -291,11 +288,9 @@ namespace copath::core {
 // Compatibility wrapper: the historical convenience entry point now
 // delegates to the Solver facade (Backend::Parallel).
 PathCover min_path_cover_parallel(const cograph::Cotree& t,
-                                  std::size_t workers,
                                   pram::Stats* stats_out) {
   SolveOptions opts;
   opts.backend = Backend::Parallel;
-  opts.workers = workers;
   opts.compute_verdicts = false;  // cost parity with the historical entry
   const Solver solver(opts);
   SolveResult res = solver.solve(SolveRequest{Instance::view(t), {}, {}});

@@ -19,9 +19,8 @@
 // (core/backend.hpp), so new engines plug in without touching callers.
 // Solver::solve_batch runs host-sweep requests through the fused batch
 // core on the calling thread and fans the rest over one lazily-created
-// util::ThreadPool that is reused across calls; per-instance machines run
-// inline on the pool's workers so thread setup is paid once per Solver,
-// not once per instance.
+// util::ThreadPool that is reused across calls, one instance per pool
+// worker, so thread setup is paid once per Solver, not once per instance.
 #pragma once
 
 #include <atomic>
@@ -166,9 +165,11 @@ class Instance {
 /// that do not use a PRAM machine.
 struct SolveOptions {
   Backend backend = Backend::Sequential;
-  /// Physical worker threads for PRAM machines (0 and 1 = inline
-  /// execution). solve_batch runs every non-host-sweep request with 1 (see
-  /// solve_batch).
+  /// Ignored: nothing reads it. It once set the host threads a PRAM machine
+  /// split each step across; every machine now runs its steps on the
+  /// calling thread, since those threads made the pipeline slower
+  /// (DESIGN.md §2). The field stays only because existing callers still
+  /// assign it.
   std::size_t workers = 1;
   /// Virtual processor budget; 0 = the paper's n / log2(n).
   std::size_t processors = 0;
@@ -308,9 +309,8 @@ class Solver {
   /// Host-sweep requests go through the fused batch core
   /// (service/batch.hpp) on the calling thread, exact duplicates solved
   /// once. Every other request runs one instance per worker of one shared
-  /// util::ThreadPool (created lazily, reused across calls) with
-  /// workers = 1 — parallelism comes from the batch. Results are identical
-  /// for any worker count.
+  /// util::ThreadPool (created lazily, reused across calls) — parallelism
+  /// comes from the batch. Results are identical for any worker count.
   [[nodiscard]] std::vector<SolveResult> solve_batch(
       std::span<const SolveRequest> reqs);
 

@@ -49,8 +49,7 @@ std::size_t paper_processors(std::size_t n) {
 
 pram::Machine::Config machine_config(std::size_t n, const BackendConfig& cfg) {
   return pram::Machine::Config{
-      cfg.policy, std::max<std::size_t>(1, cfg.workers),
-      cfg.processors == 0 ? paper_processors(n) : cfg.processors};
+      cfg.policy, cfg.processors == 0 ? paper_processors(n) : cfg.processors};
 }
 
 bool uses_pram_machine(Backend b) {
@@ -97,7 +96,7 @@ BackendOutput run_pram_pipeline(const cograph::Cotree& t,
 BackendOutput run_parallel(const cograph::Cotree& t,
                            const BackendConfig& cfg) {
   // The historical min_path_cover_parallel contract: EREW, paper budget.
-  // Worker count, trace flag, and pipeline knobs still pass through.
+  // The trace flag and pipeline knobs still pass through.
   return run_pram_pipeline(t, apply_backend_contract(Backend::Parallel, cfg));
 }
 

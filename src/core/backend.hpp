@@ -66,8 +66,6 @@ enum class Backend : std::uint8_t {
 /// Machine/engine tuning knobs a backend receives. Backends ignore the
 /// fields that do not apply to them (Sequential ignores everything).
 struct BackendConfig {
-  /// Physical worker threads for the PRAM machine (0 and 1 = inline).
-  std::size_t workers = 1;
   /// Virtual processor budget; 0 selects the paper's n / log2(n).
   std::size_t processors = 0;
   /// Access discipline the machine enforces.

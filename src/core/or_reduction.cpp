@@ -66,8 +66,7 @@ OrReductionResult or_via_path_cover(pram::Machine& m,
 
 OrReductionResult or_via_path_cover(const std::vector<std::uint8_t>& bits,
                                     const OrReductionOptions& opt) {
-  pram::Machine m(pram::Machine::Config{
-      opt.policy, std::max<std::size_t>(1, opt.workers), opt.processors});
+  pram::Machine m(pram::Machine::Config{opt.policy, opt.processors});
   return or_via_path_cover(m, bits);
 }
 

@@ -33,7 +33,6 @@ OrReductionResult or_via_path_cover(pram::Machine& m,
 /// Machine construction knobs for the self-contained overload below.
 struct OrReductionOptions {
   pram::Policy policy = pram::Policy::Unchecked;
-  std::size_t workers = 1;
   /// Virtual processors; 0 = one per element (maximal parallelism), the
   /// unbounded-processor setting of Theorem 2.2.
   std::size_t processors = 0;

@@ -55,11 +55,10 @@ PathCover min_path_cover_pram(pram::Machine& m, const cograph::Cotree& t,
                               util::CancelToken* cancel = nullptr);
 
 /// Compatibility wrapper (delegates to copath::Solver, Backend::Parallel):
-/// builds an EREW machine with n/log2(n) processors and `workers` threads,
-/// runs the pipeline, and (optionally) returns the machine stats through
-/// `stats_out`. New code should call the Solver facade directly.
+/// builds an EREW machine with n/log2(n) processors, runs the pipeline, and
+/// (optionally) returns the machine stats through `stats_out`. New code
+/// should call the Solver facade directly.
 PathCover min_path_cover_parallel(const cograph::Cotree& t,
-                                  std::size_t workers = 1,
                                   pram::Stats* stats_out = nullptr);
 
 }  // namespace copath::core

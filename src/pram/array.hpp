@@ -5,18 +5,20 @@
 // the end-of-step barrier; between steps the host (the sequential driver
 // program) may freely inspect or mutate contents through `host*` accessors.
 //
-// In checked policies every get/put also updates per-cell atomic access
-// stamps; two processors touching the same cell in the same step are caught
-// by a flag-protocol (stamp-then-inspect with sequentially consistent
-// ordering guarantees at least one side observes the other).
+// In checked policies every get/put also updates per-cell access stamps
+// (step id + processor id); a get/put that finds a stamp of the same step
+// left by another processor is a concurrent access, judged by the policy.
+// Writes are buffered in processor order, because a step runs its
+// processors in order on one host thread (pram/machine.hpp).
 #pragma once
 
-#include <atomic>
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pram/machine.hpp"
@@ -65,7 +67,7 @@ class Array : private detail::ArrayBase {
   void put(Ctx& ctx, std::size_t i, T value) {
     COPATH_DCHECK(i < data_.size());
     if (checked_) note_write(ctx, i);
-    buffers_[ctx.worker()].push_back(
+    pending_.push_back(
         WriteRec{i, static_cast<std::uint32_t>(ctx.proc()), std::move(value)});
   }
 
@@ -92,15 +94,9 @@ class Array : private detail::ArrayBase {
 
   void init_shadow() {
     checked_ = machine_->checked();
-    buffers_.resize(machine_->workers());
     if (checked_ && !data_.empty()) {
-      read_stamp_ = std::make_unique<std::atomic<std::uint64_t>[]>(data_.size());
-      write_stamp_ =
-          std::make_unique<std::atomic<std::uint64_t>[]>(data_.size());
-      for (std::size_t i = 0; i < data_.size(); ++i) {
-        read_stamp_[i].store(0, std::memory_order_relaxed);
-        write_stamp_[i].store(0, std::memory_order_relaxed);
-      }
+      read_stamp_ = std::make_unique<std::uint64_t[]>(data_.size());
+      write_stamp_ = std::make_unique<std::uint64_t[]>(data_.size());
     }
     machine_->add_cells(static_cast<std::int64_t>(data_.size()));
   }
@@ -109,14 +105,14 @@ class Array : private detail::ArrayBase {
     ++ctx.reads_;
     const std::uint64_t step = machine_->current_step();
     const std::uint64_t me = detail::pack_stamp(step, ctx.proc());
-    const std::uint64_t prev_r = read_stamp_[i].exchange(me);
+    const std::uint64_t prev_r = std::exchange(read_stamp_[i], me);
     const Policy policy = machine_->policy();
     if (detail::stamp_step(prev_r) == step &&
         detail::stamp_proc(prev_r) != ctx.proc() + 1 &&
         !allows_concurrent_read(policy)) {
       violation(ctx, i, "concurrent READ/READ", detail::stamp_proc(prev_r) - 1);
     }
-    const std::uint64_t w = write_stamp_[i].load();
+    const std::uint64_t w = write_stamp_[i];
     if (detail::stamp_step(w) == step) {
       if (detail::stamp_proc(w) == ctx.proc() + 1) {
         // Deferred-write semantics make this read return the stale pre-step
@@ -134,7 +130,7 @@ class Array : private detail::ArrayBase {
     ++ctx.writes_;
     const std::uint64_t step = machine_->current_step();
     const std::uint64_t me = detail::pack_stamp(step, ctx.proc());
-    const std::uint64_t prev_w = write_stamp_[i].exchange(me);
+    const std::uint64_t prev_w = std::exchange(write_stamp_[i], me);
     const Policy policy = machine_->policy();
     if (detail::stamp_step(prev_w) == step &&
         detail::stamp_proc(prev_w) != ctx.proc() + 1 &&
@@ -142,7 +138,7 @@ class Array : private detail::ArrayBase {
       violation(ctx, i, "concurrent WRITE/WRITE",
                 detail::stamp_proc(prev_w) - 1);
     }
-    const std::uint64_t r = read_stamp_[i].load();
+    const std::uint64_t r = read_stamp_[i];
     if (detail::stamp_step(r) == step &&
         detail::stamp_proc(r) != ctx.proc() + 1 &&
         !allows_concurrent_write(policy)) {
@@ -168,27 +164,23 @@ class Array : private detail::ArrayBase {
     }
     if (policy == Policy::CRCW_Priority) {
       // Lowest processor id wins: apply in descending processor order so the
-      // smallest id writes last. Worker blocks hold ascending processor
-      // ranges, so reverse iteration suffices.
-      for (auto it = buffers_.rbegin(); it != buffers_.rend(); ++it) {
-        for (auto rec = it->rbegin(); rec != it->rend(); ++rec) {
-          data_[rec->index] = std::move(rec->value);
-          ++committed;
-        }
-        it->clear();
+      // smallest id writes last. The buffer is in processor order, so
+      // reverse iteration suffices.
+      for (auto rec = pending_.rbegin(); rec != pending_.rend(); ++rec) {
+        data_[rec->index] = std::move(rec->value);
+        ++committed;
       }
+      pending_.clear();
       return committed;
     }
     // EREW / CREW (at most one writer per cell — order irrelevant),
     // CRCW_Arbitrary (deterministically: highest processor id wins),
     // Unchecked.
-    for (auto& buf : buffers_) {
-      for (auto& rec : buf) {
-        data_[rec.index] = std::move(rec.value);
-        ++committed;
-      }
-      buf.clear();
+    for (auto& rec : pending_) {
+      data_[rec.index] = std::move(rec.value);
+      ++committed;
     }
+    pending_.clear();
     return committed;
   }
 
@@ -198,36 +190,31 @@ class Array : private detail::ArrayBase {
     // commit degrades to Arbitrary semantics.
     if constexpr (std::equality_comparable<T>) {
       std::unordered_map<std::size_t, const T*> seen;
-      for (auto& buf : buffers_) {
-        for (auto& rec : buf) {
-          auto [it, inserted] = seen.emplace(rec.index, &rec.value);
-          if (!inserted && !(*it->second == rec.value)) {
-            std::ostringstream os;
-            os << "CRCW(common) violation: writers disagree at cell "
-               << rec.index << " in step " << machine_->current_step();
-            machine_->report_violation(os.str());
-          }
-          data_[rec.index] = rec.value;
-          ++committed;
+      for (auto& rec : pending_) {
+        auto [it, inserted] = seen.emplace(rec.index, &rec.value);
+        if (!inserted && !(*it->second == rec.value)) {
+          std::ostringstream os;
+          os << "CRCW(common) violation: writers disagree at cell "
+             << rec.index << " in step " << machine_->current_step();
+          machine_->report_violation(os.str());
         }
-        buf.clear();
+        data_[rec.index] = rec.value;
+        ++committed;
       }
     } else {
-      for (auto& buf : buffers_) {
-        for (auto& rec : buf) {
-          data_[rec.index] = std::move(rec.value);
-          ++committed;
-        }
-        buf.clear();
+      for (auto& rec : pending_) {
+        data_[rec.index] = std::move(rec.value);
+        ++committed;
       }
     }
+    pending_.clear();
   }
 
   std::vector<T> data_;
   bool checked_ = false;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> read_stamp_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> write_stamp_;
-  std::vector<std::vector<WriteRec>> buffers_;  // one per worker thread
+  std::unique_ptr<std::uint64_t[]> read_stamp_;
+  std::unique_ptr<std::uint64_t[]> write_stamp_;
+  std::vector<WriteRec> pending_;  // this step's writes, in processor order
 };
 
 }  // namespace copath::pram

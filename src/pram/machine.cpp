@@ -1,5 +1,7 @@
 #include "pram/machine.hpp"
 
+#include <utility>
+
 namespace copath::pram {
 
 namespace detail {
@@ -23,9 +25,7 @@ ArrayBase::~ArrayBase() {
 Machine::Machine() : Machine(Config{}) {}
 
 Machine::Machine(Config cfg)
-    : policy_(cfg.policy),
-      processors_(cfg.processors),
-      pool_(cfg.workers == 0 ? 1 : cfg.workers) {}
+    : policy_(cfg.policy), processors_(cfg.processors) {}
 
 Machine::~Machine() = default;
 
@@ -57,11 +57,9 @@ void Machine::add_cells(std::int64_t delta) {
 }
 
 void Machine::report_violation(const std::string& message) {
-  bool expected = false;
-  if (violated_.compare_exchange_strong(expected, true)) {
-    std::lock_guard lock(violation_mu_);
-    violation_message_ = message;
-  }
+  if (violated_) return;
+  violated_ = true;
+  violation_message_ = message;
 }
 
 void Machine::commit_all() {
@@ -71,14 +69,9 @@ void Machine::commit_all() {
 }
 
 void Machine::throw_pending_violation() {
-  if (!violated_.load(std::memory_order_acquire)) return;
-  std::string message;
-  {
-    std::lock_guard lock(violation_mu_);
-    message = violation_message_;
-  }
-  violated_.store(false, std::memory_order_release);
-  throw PramViolation(message);
+  if (!violated_) return;
+  violated_ = false;
+  throw PramViolation(std::move(violation_message_));
 }
 
 }  // namespace copath::pram

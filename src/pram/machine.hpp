@@ -4,8 +4,8 @@
 // Model mapping (paper -> simulator):
 //   * A PRAM step = one Machine::step() call. Every virtual processor runs
 //     the supplied body once; all reads observe the memory state from the
-//     beginning of the step because writes are buffered per worker thread
-//     and committed at the end-of-step barrier (deferred-write semantics).
+//     beginning of the step because writes are buffered and committed at
+//     the end-of-step barrier (deferred-write semantics).
 //   * Time  = number of steps, Work = sum of active processors per step
 //     (see pram/stats.hpp).
 //   * The EREW / CREW / CRCW access disciplines are *enforced*: an illegal
@@ -17,26 +17,21 @@
 //     "n / log n processors, O(log n) time per sweep" scheduling the paper's
 //     primitives use.
 //
-// Physical execution uses a fork-join thread pool; with W workers each step
-// partitions the virtual processors into W contiguous blocks. Deferred
-// writes make this race-free regardless of W, so results are identical from
-// W = 1 to W = hardware_concurrency.
+// Physical execution is one host thread: a step runs its virtual processors
+// in order 0, 1, ..., procs - 1 on the calling thread. Host threads are not
+// part of the PRAM model, and splitting steps across them made the pipeline
+// slower, not faster (DESIGN.md §2 has the measurements).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "pram/policy.hpp"
 #include "pram/stats.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace copath::pram {
 
@@ -90,18 +85,14 @@ class Ctx {
  public:
   /// Virtual processor id within the current step, 0-based.
   [[nodiscard]] std::uint64_t proc() const { return proc_; }
-  /// Physical worker thread executing this processor (for write buffering).
-  [[nodiscard]] std::size_t worker() const { return worker_; }
 
  private:
   friend class Machine;
   template <typename T>
   friend class Array;
 
-  Ctx(Machine& m, std::size_t worker) : machine_(&m), worker_(worker) {}
+  Ctx() = default;
 
-  Machine* machine_;
-  std::size_t worker_;
   std::uint64_t proc_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
@@ -112,14 +103,12 @@ class Machine {
   struct Config {
     /// Access discipline to enforce.
     Policy policy = Policy::EREW;
-    /// Physical worker threads (1 = run virtual processors inline).
-    std::size_t workers = 1;
     /// Default virtual processor count used by pfor(); 0 means "one
     /// processor per item" (maximum parallelism, used by unit tests).
     std::size_t processors = 0;
   };
 
-  Machine();  // EREW, 1 worker, maximally parallel pfor
+  Machine();  // EREW, maximally parallel pfor
   explicit Machine(Config cfg);
   ~Machine();
 
@@ -128,7 +117,6 @@ class Machine {
 
   [[nodiscard]] Policy policy() const { return policy_; }
   [[nodiscard]] bool checked() const { return policy_ != Policy::Unchecked; }
-  [[nodiscard]] std::size_t workers() const { return pool_.workers(); }
   [[nodiscard]] std::uint64_t current_step() const { return step_id_; }
 
   /// Virtual processors used by pfor (the paper sets this to n / log2 n).
@@ -151,20 +139,13 @@ class Machine {
     stats_.steps += 1;
     stats_.work += procs;
     if (procs > stats_.max_processors) stats_.max_processors = procs;
-    pool_.parallel_blocks(
-        0, procs,
-        [this, &body](std::size_t worker, std::size_t lo, std::size_t hi) {
-          Ctx ctx(*this, worker);
-          for (std::size_t p = lo; p < hi; ++p) {
-            ctx.proc_ = p;
-            body(static_cast<Ctx&>(ctx), p);
-          }
-          if (ctx.reads_ != 0 || ctx.writes_ != 0) {
-            std::lock_guard lock(stats_mu_);
-            stats_.reads += ctx.reads_;
-            stats_.writes += ctx.writes_;
-          }
-        });
+    Ctx ctx;
+    for (std::size_t p = 0; p < procs; ++p) {
+      ctx.proc_ = p;
+      body(ctx, p);
+    }
+    stats_.reads += ctx.reads_;
+    stats_.writes += ctx.writes_;
     commit_all();
     throw_pending_violation();
   }
@@ -185,36 +166,19 @@ class Machine {
     COPATH_CHECK_MSG(procs <= detail::kProcMask,
                      "too many processors for one step: " << procs);
     ++step_id_;
-    std::atomic<std::uint64_t> max_cost{0};
-    std::atomic<std::uint64_t> total_cost{0};
-    pool_.parallel_blocks(
-        0, procs,
-        [this, &body, &max_cost, &total_cost](
-            std::size_t worker, std::size_t lo, std::size_t hi) {
-          Ctx ctx(*this, worker);
-          std::uint64_t local_max = 0;
-          std::uint64_t local_sum = 0;
-          for (std::size_t p = lo; p < hi; ++p) {
-            ctx.proc_ = p;
-            const std::uint64_t cost =
-                std::max<std::uint64_t>(1, body(static_cast<Ctx&>(ctx), p));
-            local_max = std::max(local_max, cost);
-            local_sum += cost;
-          }
-          std::uint64_t seen = max_cost.load(std::memory_order_relaxed);
-          while (seen < local_max && !max_cost.compare_exchange_weak(
-                                         seen, local_max,
-                                         std::memory_order_relaxed)) {
-          }
-          total_cost.fetch_add(local_sum, std::memory_order_relaxed);
-          if (ctx.reads_ != 0 || ctx.writes_ != 0) {
-            std::lock_guard lock(stats_mu_);
-            stats_.reads += ctx.reads_;
-            stats_.writes += ctx.writes_;
-          }
-        });
-    stats_.steps += max_cost.load(std::memory_order_relaxed);
-    stats_.work += total_cost.load(std::memory_order_relaxed);
+    Ctx ctx;
+    std::uint64_t max_cost = 0;
+    std::uint64_t total_cost = 0;
+    for (std::size_t p = 0; p < procs; ++p) {
+      ctx.proc_ = p;
+      const std::uint64_t cost = std::max<std::uint64_t>(1, body(ctx, p));
+      max_cost = std::max(max_cost, cost);
+      total_cost += cost;
+    }
+    stats_.steps += max_cost;
+    stats_.work += total_cost;
+    stats_.reads += ctx.reads_;
+    stats_.writes += ctx.writes_;
     if (procs > stats_.max_processors) stats_.max_processors = procs;
     commit_all();
     throw_pending_violation();
@@ -254,24 +218,21 @@ class Machine {
   void unregister_array(std::size_t slot);
   void add_cells(std::int64_t delta);
 
-  /// Records the first access violation of the current step (thread-safe);
-  /// the step throws after its commit barrier.
+  /// Records the first access violation of the current step; the step
+  /// throws after its commit barrier.
   void report_violation(const std::string& message);
   void commit_all();
   void throw_pending_violation();
 
   Policy policy_;
   std::size_t processors_;
-  util::ThreadPool pool_;
   std::uint64_t step_id_ = 0;
   Stats stats_{};
-  std::mutex stats_mu_;
 
   std::vector<detail::ArrayBase*> arrays_;
   std::vector<std::size_t> free_slots_;
 
-  std::mutex violation_mu_;
-  std::atomic<bool> violated_{false};
+  bool violated_ = false;
   std::string violation_message_;
 };
 

@@ -1,10 +1,10 @@
-// A small fork-join thread pool used as the physical backend of the PRAM
-// simulator.
+// A small fork-join thread pool: Solver::solve_batch fans its non-sweep
+// requests over one, one instance per worker. (The PRAM simulator does not
+// use it: pram::Machine runs every step on the calling thread.)
 //
 // The pool is deliberately minimal: the only operation is parallel_for over
-// an index range, executed with static chunking so that a PRAM "step" maps
-// each worker to a contiguous block of virtual processors. Work stealing is
-// unnecessary because PRAM steps are uniform by construction.
+// an index range, executed with static chunking, one contiguous block per
+// worker. Work stealing is unnecessary for the uniform batches it runs.
 #pragma once
 
 #include <condition_variable>

@@ -65,7 +65,7 @@ TEST(NaiveParallel, ValidAndMinimalOnRandomCotrees) {
     opt.seed = 222 + static_cast<unsigned>(trial);
     opt.skew = (trial % 3) * 0.4;
     const Cotree t = cograph::random_cotree(1 + rng.below(100), opt);
-    Machine m({Policy::EREW, 1, 16});
+    Machine m({Policy::EREW, 16});
     const core::PathCover c = min_path_cover_naive_parallel(m, t);
     const auto rep = core::validate_path_cover(t, c, true);
     ASSERT_TRUE(rep.ok) << rep.error << "\n" << t.format();
@@ -79,7 +79,7 @@ TEST(NaiveParallel, TimeIsLinearWhereThePipelineIsLogarithmic) {
   // optimal pipeline does the same instances in O(log n) steps — this is
   // the separation bench E5 quantifies.
   const auto naive_steps = [](std::size_t n) {
-    Machine m({Policy::EREW, 1, n});
+    Machine m({Policy::EREW, n});
     (void)min_path_cover_naive_parallel(m, cograph::caterpillar(n));
     return m.stats().steps;
   };

@@ -23,7 +23,7 @@ std::vector<std::int8_t> from_string(const std::string& s) {
 
 void expect_matches(const std::vector<std::int8_t>& sign, std::size_t p) {
   const auto want = match_brackets_seq(sign);
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   Array<std::int8_t> s(m, sign);
   Array<std::int64_t> match(m, sign.size(), -1);
   match_brackets(m, s, match);
@@ -132,7 +132,7 @@ TEST(BracketCost, WorkStaysLinear) {
   util::Rng rng(77);
   std::vector<std::int8_t> sign(n);
   for (auto& s : sign) s = rng.chance(0.5) ? 1 : -1;
-  Machine m({Policy::EREW, 1, n / 14});
+  Machine m({Policy::EREW, n / 14});
   Array<std::int8_t> sg(m, sign);
   Array<std::int64_t> match(m, n, -1);
   match_brackets(m, sg, match);

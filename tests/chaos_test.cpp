@@ -98,6 +98,19 @@ std::uint64_t counter(const proto::Response& resp, std::string_view key) {
   return 0;
 }
 
+/// Polls until the armed "solve.stall" point has fired `value` times: a
+/// worker is then inside that solve, past the queue.
+bool wait_for_stall(std::uint64_t value) {
+  for (int spin = 0; spin < 1500; ++spin) {
+    if (util::FaultInjector::instance().stats("solve.stall").injected >=
+        value) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
 /// Polls the server's Stats counter `key` until it reaches `value`.
 bool wait_for_counter(net::Client& observer, std::string_view key,
                       std::uint64_t value) {
@@ -117,11 +130,15 @@ constexpr std::uint8_t kCountingBackend = 213;
 std::atomic<std::uint64_t> g_counting_solves{0};
 
 /// The gate chaos-sleepy solves wait on. Open unless a test holds it.
+/// It also counts the solves that reached it since the last hold(): proof
+/// that a worker holds the job, which the `in_flight` counter is not (it
+/// counts a job from admission, while it may still sit in the queue).
 class SleepyGate {
  public:
   void hold() {
     std::lock_guard<std::mutex> lock(mu_);
     held_ = true;
+    entered_ = 0;
   }
   void release() {
     {
@@ -132,13 +149,23 @@ class SleepyGate {
   }
   void wait() {
     std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
     cv_.wait(lock, [this] { return !held_; });
+  }
+  /// Blocks until `n` solves have entered wait() since hold(); false after
+  /// 3 s.
+  bool await_entered(std::uint64_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(3),
+                        [this, n] { return entered_ >= n; });
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  bool held_ = false;  // guarded by mu_
+  bool held_ = false;          // guarded by mu_
+  std::uint64_t entered_ = 0;  // guarded by mu_
 };
 
 SleepyGate& sleepy_gate() {
@@ -514,6 +541,7 @@ TEST(ResilienceOverload, BatchRetryMatchesTheSingleSolveConvenience) {
       return false;
     };
     ASSERT_TRUE(wait_for("in_flight", 1));
+    ASSERT_TRUE(sleepy_gate().await_entered(1));  // the worker holds it
     (void)cli.send_solve_text(testing::random_cotree(65, 4701).format(),
                               slow_opts);
     cli.flush();
@@ -585,7 +613,8 @@ TEST(ResilienceOverload, ParkingDisabledRefusesOverloadedAtQueueFull) {
       }
       return false;
     };
-    ASSERT_TRUE(wait_for("in_flight", 1));  // worker holds the sleepy job
+    ASSERT_TRUE(wait_for("in_flight", 1));
+    ASSERT_TRUE(sleepy_gate().await_entered(1));  // worker holds the job
     const std::uint64_t queued_seq = cli.send_solve_text(
         testing::random_cotree(65, 8).format(), slow_opts);
     cli.flush();
@@ -993,6 +1022,8 @@ TEST(ChaosCancel, WireCancelCatchesAnInFlightSolve) {
         cli.send_solve_text(testing::random_cotree(40, 4300).format());
     cli.flush();
     ASSERT_TRUE(wait_for_counter(observer, "in_flight", 1));
+    // In flight, not queued: a Cancel of a queued job would shed it.
+    ASSERT_TRUE(wait_for_stall(1));
     const std::uint64_t cseq = cli.send_cancel(seq);
     cli.flush();
 
@@ -1041,6 +1072,7 @@ TEST(ChaosCancel, QueuedRequestIsCancelledBeforeItEverRuns) {
         testing::random_cotree(64, 4400).format(), slow);
     cli.flush();
     ASSERT_TRUE(wait_for_counter(observer, "in_flight", 1));
+    ASSERT_TRUE(sleepy_gate().await_entered(1));  // the worker holds it
     g_counting_solves.store(0, std::memory_order_relaxed);
     const std::uint64_t queued_seq = cli.send_solve_text(
         testing::random_cotree(32, 4401).format(), counted);
@@ -1096,6 +1128,10 @@ TEST(ResilienceDisconnect, ClientGoneMidSolveFreesTheWorker) {
           testing::random_cotree(40, 4500).format());
       victim.flush();
       ASSERT_TRUE(wait_for_counter(observer, "in_flight", 1));
+      // The stall must be the victim's: closing while its job is still
+      // queued would shed it at pickup, and the observer's own solve
+      // would then hit the armed stall instead.
+      ASSERT_TRUE(wait_for_stall(1));
     }  // victim's socket closes here, solve still stalled in the worker
 
     // The disconnect cancels the orphan (cancelled counter moves) and the

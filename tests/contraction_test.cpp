@@ -63,7 +63,7 @@ TEST_P(ContractionSweep, SubtreeLeafSums) {
   const std::size_t n = t.size();
   std::vector<std::int64_t> leaf_val(n, 1);
   std::vector<SumPolicy::NodeOp> ops(n);
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   const auto got = tree_contract_eval<SumPolicy>(m, t, leaf_val, ops);
   // Every node's value should equal its leaf count.
   const std::function<std::int64_t(std::int32_t)> count =
@@ -94,7 +94,7 @@ TEST_P(ContractionSweep, MaxPlusPathCountPolicy) {
       ops[v] = {1, static_cast<std::int64_t>(rng.below(6))};
     }
   }
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   const auto got = tree_contract_eval<PathCountPolicy>(m, t, leaf_val, ops);
   const std::function<std::int64_t(std::int32_t)> eval =
       [&](std::int32_t v) -> std::int64_t {
@@ -134,7 +134,7 @@ TEST(ContractionShape, DeepLeftChainEvaluates) {
   t.root = 0;
   std::vector<std::int64_t> leaf_val(t.size(), 1);
   std::vector<PathCountPolicy::NodeOp> ops(t.size(), {1, 1});
-  Machine m({Policy::EREW, 1, 8});
+  Machine m({Policy::EREW, 8});
   const auto got = tree_contract_eval<PathCountPolicy>(m, t, leaf_val, ops);
   EXPECT_EQ(got[0], 1);
 }
@@ -144,7 +144,7 @@ TEST(ContractionCost, LogTimeLinearWork) {
   const std::size_t leaves = 1 << 12;
   const BinTree t = random_full_tree(rng, leaves);
   const std::size_t n = t.size();
-  Machine m({Policy::EREW, 1, n / 13});
+  Machine m({Policy::EREW, n / 13});
   std::vector<std::int64_t> leaf_val(n, 1);
   std::vector<SumPolicy::NodeOp> ops(n);
   (void)tree_contract_eval<SumPolicy>(m, t, leaf_val, ops);

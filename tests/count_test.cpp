@@ -35,7 +35,7 @@ TEST_P(CountSweep, PramMatchesHost) {
     auto bc = cograph::binarize(t);
     const auto leaf_count = cograph::make_leftist(bc);
     const auto host = path_counts_host(bc, leaf_count);
-    Machine m({Policy::EREW, 1, p});
+    Machine m({Policy::EREW, p});
     const auto pram_counts = path_counts_pram(m, bc, leaf_count);
     ASSERT_EQ(host.size(), pram_counts.size());
     for (std::size_t v = 0; v < host.size(); ++v)
@@ -97,7 +97,7 @@ TEST(CountCost, LemmaBound) {
   const Cotree t = cograph::random_cotree(n, opt);
   auto bc = cograph::binarize(t);
   const auto leaf_count = cograph::make_leftist(bc);
-  Machine m({Policy::EREW, 1, (2 * n) / 13});
+  Machine m({Policy::EREW, (2 * n) / 13});
   (void)path_counts_pram(m, bc, leaf_count);
   EXPECT_LE(m.stats().steps, 400 * 13);
   EXPECT_LE(m.stats().work, 500 * n);

@@ -106,7 +106,7 @@ TEST_P(EulerSweep, MatchesOracleOnRandomTrees) {
   util::Rng rng(leaves * 131 + p);
   for (int trial = 0; trial < 8; ++trial) {
     const BinTree t = random_full_tree(rng, leaves);
-    Machine m({Policy::EREW, 1, p});
+    Machine m({Policy::EREW, p});
     expect_match(t, euler_numbers(m, t, engine));
   }
 }
@@ -143,14 +143,14 @@ TEST(EulerShapes, LeftChain) {
   }
   t.root = 0;
   t.validate();
-  Machine m({Policy::EREW, 1, 16});
+  Machine m({Policy::EREW, 16});
   expect_match(t, euler_numbers(m, t));
 }
 
 TEST(EulerShapes, SingleNodeAndPair) {
   BinTree t1 = BinTree::with_size(1);
   t1.root = 0;
-  Machine m({Policy::EREW, 1, 2});
+  Machine m({Policy::EREW, 2});
   const EulerNumbers n1 = euler_numbers(m, t1);
   EXPECT_EQ(n1.leaves[0], 1);
   EXPECT_EQ(n1.leafnum[0], 0);
@@ -174,7 +174,7 @@ TEST(EulerCost, LogTimeLinearWork) {
   const std::size_t leaves = 1 << 12;
   const BinTree t = random_full_tree(rng, leaves);
   const std::size_t n = t.size();
-  Machine m({Policy::EREW, 1, n / 13});
+  Machine m({Policy::EREW, n / 13});
   (void)euler_numbers(m, t);
   EXPECT_LE(m.stats().steps, 300 * 13)
       << "expected O(log n) steps for the full numbering";

@@ -55,7 +55,7 @@ class RankSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(RankSweep, WyllieMatchesOracle) {
   const auto [n, p, max_len] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   const Instance inst = random_lists(n, max_len, n * 7 + p);
   Array<NodeId> next(m, inst.next);
   Array<std::int64_t> rank(m, n, -1);
@@ -65,7 +65,7 @@ TEST_P(RankSweep, WyllieMatchesOracle) {
 
 TEST_P(RankSweep, ContractMatchesOracle) {
   const auto [n, p, max_len] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   const Instance inst = random_lists(n, max_len, n * 11 + p);
   Array<NodeId> next(m, inst.next);
   Array<std::int64_t> rank(m, n, -1);
@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RankSingleList, FullChain) {
   const std::size_t n = 300;
-  Machine m({Policy::EREW, 1, 16});
+  Machine m({Policy::EREW, 16});
   std::vector<NodeId> next(n);
   for (std::size_t i = 0; i + 1 < n; ++i)
     next[i] = static_cast<NodeId>(i + 1);
@@ -106,7 +106,7 @@ TEST(RankCost, ContractWorkIsLinearWyllieIsNot) {
   const auto run = [](std::size_t n, bool use_contract) {
     std::size_t logn = 1;
     while ((std::size_t{1} << (logn + 1)) <= n) ++logn;
-    Machine m({Policy::Unchecked, 1, n / logn});
+    Machine m({Policy::Unchecked, n / logn});
     std::vector<NodeId> next(n);
     for (std::size_t i = 0; i + 1 < n; ++i)
       next[i] = static_cast<NodeId>(i + 1);
@@ -129,7 +129,7 @@ TEST(RankCost, ContractWorkIsLinearWyllieIsNot) {
 }
 
 TEST(RankEdge, AllSingletons) {
-  Machine m({Policy::EREW, 1, 4});
+  Machine m({Policy::EREW, 4});
   Array<NodeId> next(m, std::vector<NodeId>(17, kNull));
   Array<std::int64_t> rank(m, 17, -1);
   list_rank_contract(m, next, rank);

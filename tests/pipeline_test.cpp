@@ -1,5 +1,5 @@
 // Theorem 5.3: the PRAM pipeline — validity, minimality, EREW discipline
-// (the machine *checks* it), cost bounds, and engine/worker invariance.
+// (the machine *checks* it), cost bounds, and engine invariance.
 // The engine-level sweeps drive min_path_cover_pram on an explicit machine;
 // the behavioural tests go through the copath::Solver facade.
 #include <gtest/gtest.h>
@@ -22,21 +22,20 @@ using pram::Policy;
 struct Shape {
   std::size_t n;
   std::size_t procs;
-  std::size_t workers;
   par::RankEngine engine;
 };
 
 class PipelineSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(PipelineSweep, ValidMinimalAndEREWClean) {
-  const auto [nmax, procs, workers, engine] = GetParam();
+  const auto [nmax, procs, engine] = GetParam();
   util::Rng rng(nmax * 7 + procs);
   for (int trial = 0; trial < 10; ++trial) {
     RandomCotreeOptions opt;
     opt.seed = nmax * 1000 + static_cast<unsigned>(trial);
     opt.skew = (trial % 3) * 0.4;
     const Cotree t = cograph::random_cotree(1 + rng.below(nmax), opt);
-    Machine m({Policy::EREW, workers, procs});
+    Machine m({Policy::EREW, procs});
     PipelineOptions popt;
     popt.rank_engine = engine;
     PipelineTrace trace;
@@ -53,26 +52,24 @@ TEST_P(PipelineSweep, ValidMinimalAndEREWClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PipelineSweep,
-    ::testing::Values(Shape{6, 1, 1, par::RankEngine::Contract},
-                      Shape{30, 4, 1, par::RankEngine::Contract},
-                      Shape{30, 4, 1, par::RankEngine::Wyllie},
-                      Shape{90, 16, 1, par::RankEngine::Contract},
-                      Shape{90, 16, 2, par::RankEngine::Contract},
-                      Shape{150, 8, 4, par::RankEngine::Contract},
+    ::testing::Values(Shape{6, 1, par::RankEngine::Contract},
+                      Shape{30, 4, par::RankEngine::Contract},
+                      Shape{30, 4, par::RankEngine::Wyllie},
+                      Shape{90, 16, par::RankEngine::Contract},
+                      Shape{150, 8, par::RankEngine::Contract},
                       // procs = 0: every pfor is ONE maximally parallel
                       // checked step — no cross-item access can hide in
                       // Brent chunking.
-                      Shape{60, 0, 1, par::RankEngine::Contract},
-                      Shape{60, 0, 2, par::RankEngine::Wyllie}),
+                      Shape{60, 0, par::RankEngine::Contract},
+                      Shape{60, 0, par::RankEngine::Wyllie}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return "n" + std::to_string(info.param.n) + "_p" +
-             std::to_string(info.param.procs) + "_w" +
-             std::to_string(info.param.workers) +
+             std::to_string(info.param.procs) +
              (info.param.engine == par::RankEngine::Contract ? "_c" : "_w");
     });
 
 TEST(Pipeline, SingleVertexAndPairs) {
-  Machine m({Policy::EREW, 1, 2});
+  Machine m({Policy::EREW, 2});
   EXPECT_EQ(min_path_cover_pram(m, Cotree::parse("a")).paths.size(), 1u);
   EXPECT_EQ(min_path_cover_pram(m, Cotree::parse("(* a b)")).paths.size(),
             1u);
@@ -99,26 +96,6 @@ TEST(Pipeline, FamiliesValidMinimalThroughSolver) {
     EXPECT_TRUE(res.validation.ok)
         << res.validation.error << " on " << t.format();
     EXPECT_TRUE(res.minimum) << t.format();
-  }
-}
-
-TEST(Pipeline, WorkerCountDoesNotChangeResult) {
-  RandomCotreeOptions opt;
-  opt.seed = 4321;
-  const Cotree t = cograph::random_cotree(90, opt);
-  std::vector<std::vector<VertexId>> first;
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    SolveOptions opts;
-    opts.backend = Backend::Pram;
-    opts.processors = 8;
-    opts.workers = workers;
-    const SolveResult res = Solver(opts).solve(Instance::view(t));
-    ASSERT_TRUE(res.ok) << res.error;
-    if (first.empty()) {
-      first = res.cover.paths;
-    } else {
-      EXPECT_EQ(res.cover.paths, first) << "workers=" << workers;
-    }
   }
 }
 
@@ -149,17 +126,13 @@ TEST(UncheckedPram, CoversMinimaAndVerdictsMatchPramOnEveryFamily) {
   for (const auto& t : testing::large_families()) {
     const SolveResult want = Solver(erew).solve(Instance::view(t));
     const SolveResult oracle = Solver(ref).solve(Instance::view(t));
-    for (const std::size_t workers : {1u, 2u}) {
-      SolveOptions opts = erew;
-      opts.policy = Policy::Unchecked;
-      opts.workers = workers;
-      opts.validate = true;
-      const SolveResult got = Solver(opts).solve(Instance::view(t));
-      const std::string what = "n=" + std::to_string(t.vertex_count()) +
-                               " workers=" + std::to_string(workers);
-      expect_unchecked_matches(got, want, oracle, what);
-      EXPECT_TRUE(got.validation.ok) << what << ": " << got.validation.error;
-    }
+    SolveOptions opts = erew;
+    opts.policy = Policy::Unchecked;
+    opts.validate = true;
+    const SolveResult got = Solver(opts).solve(Instance::view(t));
+    const std::string what = "n=" + std::to_string(t.vertex_count());
+    expect_unchecked_matches(got, want, oracle, what);
+    EXPECT_TRUE(got.validation.ok) << what << ": " << got.validation.error;
   }
 }
 
@@ -216,7 +189,7 @@ TEST(Pipeline, ConvenienceWrapperReportsStats) {
   opt.seed = 99;
   const Cotree t = cograph::random_cotree(120, opt);
   pram::Stats stats;
-  const PathCover c = min_path_cover_parallel(t, 1, &stats);
+  const PathCover c = min_path_cover_parallel(t, &stats);
   EXPECT_TRUE(validate_path_cover(t, c, true).ok);
   EXPECT_GT(stats.steps, 0u);
   EXPECT_GT(stats.work, stats.steps);
@@ -229,7 +202,7 @@ TEST(PipelineCost, Theorem53Bound) {
   opt.seed = 1;
   const std::size_t n = 1 << 12;
   const Cotree t = cograph::random_cotree(n, opt);
-  Machine m({Policy::Unchecked, 1, n / 12});
+  Machine m({Policy::Unchecked, n / 12});
   (void)min_path_cover_pram(m, t);
   EXPECT_LE(m.stats().steps, 3000 * 12);
   EXPECT_LE(m.stats().work, 4000 * n);
@@ -244,7 +217,7 @@ TEST(PipelineCost, StepsGrowLogarithmically) {
   for (const std::size_t logn : {10u, 11u, 12u}) {
     const std::size_t n = std::size_t{1} << logn;
     const Cotree t = cograph::random_cotree(n, opt);
-    Machine m({Policy::Unchecked, 1, n / logn});
+    Machine m({Policy::Unchecked, n / logn});
     (void)min_path_cover_pram(m, t);
     const std::uint64_t steps = m.stats().steps;
     if (prev != 0) {

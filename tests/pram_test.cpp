@@ -8,9 +8,8 @@
 namespace copath::pram {
 namespace {
 
-Machine::Config cfg(Policy p, std::size_t workers = 1,
-                    std::size_t procs = 0) {
-  return Machine::Config{p, workers, procs};
+Machine::Config cfg(Policy p, std::size_t procs = 0) {
+  return Machine::Config{p, procs};
 }
 
 TEST(Machine, StepCountsTimeAndWork) {
@@ -127,6 +126,74 @@ TEST(Machine, CRCWPriorityKeepsLowestProcessor) {
   EXPECT_EQ(a.host(0), 0);
 }
 
+template <typename Fn>
+std::string violation_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const PramViolation& e) {
+    return e.what();
+  }
+  return "no violation";
+}
+
+TEST(Machine, ViolationMessagesNameKindCellProcessorsAndStep) {
+  // The first breach in processor order is the one reported.
+  Machine erew(cfg(Policy::EREW));
+  Array<int> e(erew, 4, 0);
+  EXPECT_EQ(violation_message([&] {
+              erew.step(4, [&](Ctx& c, std::size_t) { (void)e.get(c, 0); });
+            }),
+            "EREW violation: concurrent READ/READ at cell 0 by processors 1 "
+            "and 0 in step 1");
+  EXPECT_EQ(violation_message([&] {
+              erew.step(2, [&](Ctx& c, std::size_t) { e.put(c, 1, 7); });
+            }),
+            "EREW violation: concurrent WRITE/WRITE at cell 1 by processors 1 "
+            "and 0 in step 2");
+  EXPECT_EQ(violation_message([&] {
+              erew.step(2, [&](Ctx& c, std::size_t i) {
+                if (i == 0) {
+                  (void)e.get(c, 3);
+                } else {
+                  e.put(c, 3, 1);
+                }
+              });
+            }),
+            "EREW violation: WRITE of cell being READ at cell 3 by processors "
+            "1 and 0 in step 3");
+  EXPECT_EQ(violation_message([&] {
+              erew.step(1, [&](Ctx& c, std::size_t) {
+                e.put(c, 2, 1);
+                (void)e.get(c, 2);
+              });
+            }),
+            "EREW violation: READ after own WRITE in the same step (stale "
+            "read) at cell 2 by processors 0 and 0 in step 4");
+
+  Machine crew(cfg(Policy::CREW));
+  Array<int> r(crew, 4, 0);
+  EXPECT_EQ(violation_message([&] {
+              crew.step(2, [&](Ctx& c, std::size_t i) {
+                if (i == 0) {
+                  r.put(c, 2, 9);
+                } else {
+                  (void)r.get(c, 2);
+                }
+              });
+            }),
+            "CREW violation: READ of cell being WRITTEN at cell 2 by "
+            "processors 1 and 0 in step 1");
+
+  Machine common(cfg(Policy::CRCW_Common));
+  Array<int> k(common, 1, 0);
+  EXPECT_EQ(violation_message([&] {
+              common.step(2, [&](Ctx& c, std::size_t i) {
+                k.put(c, 0, static_cast<int>(i));
+              });
+            }),
+            "CRCW(common) violation: writers disagree at cell 0 in step 1");
+}
+
 TEST(Machine, UncheckedSkipsDetectionButKeepsSemantics) {
   Machine m(cfg(Policy::Unchecked));
   Array<int> a(m, 4, 3);
@@ -137,7 +204,7 @@ TEST(Machine, UncheckedSkipsDetectionButKeepsSemantics) {
 }
 
 TEST(Machine, PforBrentSchedule) {
-  Machine m(cfg(Policy::EREW, 1, 4));  // 4 virtual processors
+  Machine m(cfg(Policy::EREW, 4));  // 4 virtual processors
   Array<int> a(m, 10, 0);
   m.pfor(10, [&](Ctx& c, std::size_t i) { a.put(c, i, 1); });
   // ceil(10/4) = 3 steps, work = 10.
@@ -147,7 +214,7 @@ TEST(Machine, PforBrentSchedule) {
 }
 
 TEST(Machine, BlockedStepChargesMaxAndSum) {
-  Machine m(cfg(Policy::EREW, 1, 4));
+  Machine m(cfg(Policy::EREW, 4));
   Array<int> a(m, 4, 0);
   m.blocked_step(4, [&](Ctx& c, std::size_t b) -> std::uint64_t {
     a.put(c, b, 1);
@@ -157,25 +224,23 @@ TEST(Machine, BlockedStepChargesMaxAndSum) {
   EXPECT_EQ(m.stats().work, 10u);   // sum of costs
 }
 
-TEST(Machine, MultiWorkerMatchesSingleWorker) {
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    Machine m(cfg(Policy::EREW, workers, 8));
-    Array<std::int64_t> a(m, 100, 1);
-    // prefix doubling accumulation with double buffering
-    Array<std::int64_t> b(m, 100, 0);
-    for (std::size_t d = 1; d < 100; d *= 2) {
-      m.pfor(100, [&](Ctx& c, std::size_t i) {
-        std::int64_t v = a.get(c, i);
-        b.put(c, i, v);
-      });
-      m.pfor(100, [&](Ctx& c, std::size_t i) {
-        std::int64_t v = a.get(c, i);
-        if (i >= d) v += b.get(c, i - d);
-        a.put(c, i, v);
-      });
-    }
-    EXPECT_EQ(a.host(99), 100) << "workers=" << workers;
+TEST(Machine, PrefixDoublingIsExactOnOneMachine) {
+  Machine m(cfg(Policy::EREW, 8));
+  Array<std::int64_t> a(m, 100, 1);
+  // prefix doubling accumulation with double buffering
+  Array<std::int64_t> b(m, 100, 0);
+  for (std::size_t d = 1; d < 100; d *= 2) {
+    m.pfor(100, [&](Ctx& c, std::size_t i) {
+      std::int64_t v = a.get(c, i);
+      b.put(c, i, v);
+    });
+    m.pfor(100, [&](Ctx& c, std::size_t i) {
+      std::int64_t v = a.get(c, i);
+      if (i >= d) v += b.get(c, i - d);
+      a.put(c, i, v);
+    });
   }
+  EXPECT_EQ(a.host(99), 100);
 }
 
 TEST(Machine, CellAccountingTracksAllocations) {

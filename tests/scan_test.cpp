@@ -23,7 +23,7 @@ class ScanSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ScanSweep, ExclusiveMatchesSerial) {
   const auto [n, p] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   util::Rng rng(n * 31 + p);
   std::vector<std::int64_t> v(n);
   for (auto& x : v) x = rng.range(-9, 9);
@@ -38,7 +38,7 @@ TEST_P(ScanSweep, ExclusiveMatchesSerial) {
 
 TEST_P(ScanSweep, InclusiveMatchesSerial) {
   const auto [n, p] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   util::Rng rng(n * 37 + p);
   std::vector<std::int64_t> v(n);
   for (auto& x : v) x = rng.range(-9, 9);
@@ -53,7 +53,7 @@ TEST_P(ScanSweep, InclusiveMatchesSerial) {
 
 TEST_P(ScanSweep, ReduceMatchesAccumulate) {
   const auto [n, p] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   util::Rng rng(n * 41 + p);
   std::vector<std::int64_t> v(n);
   for (auto& x : v) x = rng.range(-100, 100);
@@ -64,7 +64,7 @@ TEST_P(ScanSweep, ReduceMatchesAccumulate) {
 
 TEST_P(ScanSweep, MaxScanWorks) {
   const auto [n, p] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   util::Rng rng(n * 43 + p);
   std::vector<std::int64_t> v(n);
   for (auto& x : v) x = rng.range(-50, 50);
@@ -79,7 +79,7 @@ TEST_P(ScanSweep, MaxScanWorks) {
 
 TEST_P(ScanSweep, SegmentedScanResetsAtFlags) {
   const auto [n, p] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   util::Rng rng(n * 47 + p);
   std::vector<std::int64_t> v(n);
   std::vector<std::uint8_t> f(n, 0);
@@ -100,7 +100,7 @@ TEST_P(ScanSweep, SegmentedScanResetsAtFlags) {
 
 TEST_P(ScanSweep, CompactKeepsMarkedIndicesInOrder) {
   const auto [n, p] = GetParam();
-  Machine m({Policy::EREW, 1, p});
+  Machine m({Policy::EREW, p});
   util::Rng rng(n * 53 + p);
   std::vector<std::uint8_t> keep(n, 0);
   std::vector<std::int64_t> want;
@@ -130,7 +130,7 @@ TEST(ScanCost, WorkIsLinearAndTimeLogarithmic) {
   // work (the Lemma 5.1 bound).
   const std::size_t n = 1 << 14;
   const std::size_t logn = 14;
-  Machine m({Policy::EREW, 1, n / logn});
+  Machine m({Policy::EREW, n / logn});
   Array<std::int64_t> a(m, n, 1);
   exclusive_scan(m, a);
   EXPECT_LE(m.stats().steps, 8 * logn);
@@ -145,7 +145,7 @@ TEST(ScanEdge, NonCommutativeOperatorRespectsOrder) {
     static constexpr Take identity() { return Take{}; }
     Take operator()(Take a, Take b) const { return b.v >= 0 ? b : a; }
   };
-  Machine m({Policy::EREW, 1, 5});
+  Machine m({Policy::EREW, 5});
   std::vector<Take> v(37);
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i].v = (i % 3 == 0) ? static_cast<std::int64_t>(i) : -1;

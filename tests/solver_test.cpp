@@ -330,8 +330,7 @@ TEST(Batch, MatchesSingleSolveOn120Instances) {
   const auto batch = solver.solve_batch(reqs);
   ASSERT_EQ(batch.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    // Per-instance reference: same options but workers forced to 1, which
-    // is also what the batch path runs.
+    // Per-instance reference: the same request through solve().
     auto single = solver.solve(reqs[i]);
     ASSERT_TRUE(batch[i].ok) << i << ": " << batch[i].error;
     ASSERT_TRUE(single.ok) << i << ": " << single.error;
