@@ -1,9 +1,9 @@
-// E10 — the service layer: canonical memo cache and duplicate coalescing.
+// E10 — the service layer: the canonical memo cache.
 //
 // What it measures: warm-cache solves of repeated or permuted/relabeled
 // instances against the cold path (a hit pays canonicalization + a cover
-// remap instead of the solve), and a duplicate-heavy concurrent burst that
-// computes once instead of N times. The committed BENCH_service.json reads
+// remap instead of the solve), and the miss-path overhead the cache costs
+// traffic that never repeats. The committed BENCH_service.json reads
 // warm 2.3-2.8x over cold at n = 4096 and 16384: the cold side runs the
 // O(n) sweep, so a hit saves little more than half the request. The bench
 // reports the ratio; it has no pass/fail bar.
@@ -91,49 +91,6 @@ void cold_vs_warm_table() {
   std::cout << std::endl;
 }
 
-void coalescing_table() {
-  bench::banner(
-      "E10b: duplicate-coalescing on a concurrent identical burst",
-      "32 concurrent submissions of one instance. With the cache+coalescer "
-      "the engine runs once (everyone else parks on the in-flight compute "
-      "or hits the cache); with it off, all 32 compute.");
-  util::Table table({"n", "requests", "mode", "total_ms", "speedup"});
-  for (const std::size_t lg : {13u, 14u}) {
-    const std::size_t n = std::size_t{1} << lg;
-    constexpr std::size_t kRequests = 32;
-    const Cotree t = testing::random_cotree(n, 770000 + lg);
-    const std::vector<Cotree> burst(kRequests, t);
-    const auto run = [&](bool use_cache) {
-      Service::Options sopts;
-      sopts.solve.compute_verdicts = false;
-      sopts.workers = 4;
-      sopts.use_cache = use_cache;
-      Service svc(sopts);
-      return drain(svc, burst);
-    };
-    const double uncached_ms = run(false);
-    const double coalesced_ms = run(true);
-    const auto row = [&](const char* mode, double ms) {
-      table.row({util::Table::I(static_cast<long long>(n)),
-                 util::Table::I(static_cast<long long>(kRequests)),
-                 util::Table::S(mode), util::Table::F(ms),
-                 util::Table::F(uncached_ms / ms)});
-      if (g_json != nullptr) {
-        g_json->row("coalescing",
-                    {{"n", static_cast<double>(n)},
-                     {"requests", static_cast<double>(kRequests)},
-                     {"total_ms", ms},
-                     {"speedup", uncached_ms / ms}},
-                    {{"mode", mode}});
-      }
-    };
-    row("no-cache", uncached_ms);
-    row("cache+coalesce", coalesced_ms);
-  }
-  table.print(std::cout);
-  std::cout << std::endl;
-}
-
 void overhead_table() {
   bench::banner(
       "E10c: miss-path overhead — Service(cache on, all distinct) vs Solver",
@@ -212,7 +169,6 @@ int main(int argc, char** argv) {
   bench::JsonReport json(&argc, argv, "service");
   g_json = &json;
   cold_vs_warm_table();
-  coalescing_table();
   overhead_table();
   json.write();
   benchmark::Initialize(&argc, argv);

@@ -15,8 +15,9 @@
 //                                                       a canonical memo
 //                                                       cache (binary
 //                                                       signature keys),
-//                                                       duplicate
-//                                                       coalescing, an
+//                                                       one fused batch
+//                                                       path for every
+//                                                       request, an
 //                                                       inline sweep
 //                                                       express lane, and
 //                                                       bounded

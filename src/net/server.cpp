@@ -230,9 +230,8 @@ bool Server::handle_frame(Conn& conn, std::string_view payload) {
     }
     case proto::Verb::SolveText:
     case proto::Verb::SolveSignature:
-      return handle_solve(conn, req);
     case proto::Verb::BatchSolve:
-      return handle_batch(conn, req);
+      return handle_solve(conn, req);
   }
   return true;
 }
@@ -243,68 +242,52 @@ bool Server::handle_solve(Conn& conn, const proto::Request& req) {
                                  req.seq, req.verb, proto::Status::Draining,
                                  "server is draining"));
   }
-  SolveRequest sreq;
-  if (req.verb == proto::Verb::SolveSignature) {
-    // Validate the untrusted bytes here, on the loop thread: rejecting a
-    // hostile signature must not cost a queue slot or a worker wakeup.
+  // Every solve frame becomes one BatchPlan: a Solve frame is a one-slot
+  // batch answered with a Solve response frame.
+  const bool batch = req.verb == proto::Verb::BatchSolve;
+  std::vector<proto::BatchItem> items;
+  if (batch) {
+    // Structural validation on the loop thread: a malformed batch must not
+    // cost a queue slot or worker wakeup.
     std::string why;
-    if (!cograph::signature_valid(req.body, &why)) {
+    if (!proto::parse_batch_body(req.body, opts_.max_batch_items, &items,
+                                 &why)) {
+      ++bad_frames_;
       return queue_frame(conn, proto::encode_status_response_frame(
                                    req.seq, req.verb,
-                                   proto::Status::InvalidSignature, why));
+                                   proto::Status::BadFrame, why));
     }
-    sreq.instance = Instance::signature(std::string(req.body));
   } else {
-    sreq.instance = Instance::text(std::string(req.body));
-  }
-  sreq.options = proto::apply_wire_options(req.opts, opts_.service.solve);
-  const std::uint32_t deadline_ms = effective_deadline_ms(req, opts_);
-  sreq.deadline_ms = deadline_ms;
-  if (!try_dispatch(conn, req.verb, req.seq, std::move(sreq))) {
-    return park_or_refuse(
-        conn, Parked{req.verb, req.seq, std::move(sreq), nullptr,
-                     deadline_at_from(deadline_ms), req.body.size()});
-  }
-  return true;
-}
-
-bool Server::handle_batch(Conn& conn, const proto::Request& req) {
-  if (draining_) {
-    return queue_frame(conn, proto::encode_status_response_frame(
-                                 req.seq, proto::Verb::BatchSolve,
-                                 proto::Status::Draining,
-                                 "server is draining"));
-  }
-  // Structural validation on the loop thread, like single-solve signature
-  // checks: a malformed batch must not cost a queue slot or worker wakeup.
-  std::vector<proto::BatchItem> items;
-  std::string why;
-  if (!proto::parse_batch_body(req.body, opts_.max_batch_items, &items,
-                               &why)) {
-    ++bad_frames_;
-    return queue_frame(conn, proto::encode_status_response_frame(
-                                 req.seq, proto::Verb::BatchSolve,
-                                 proto::Status::BadFrame, why));
+    items.push_back(proto::BatchItem{
+        req.verb == proto::Verb::SolveSignature, req.body});
   }
   auto plan = std::make_shared<BatchPlan>();
+  plan->verb = req.verb;
   plan->slots.resize(items.size());
   plan->reqs.reserve(items.size());
   plan->req_slot.reserve(items.size());
   const std::optional<SolveOptions> opts =
       proto::apply_wire_options(req.opts, opts_.service.solve);
-  // One frame, one deadline: every item in the batch shares it (the
-  // service dispatches the batch as one unit anyway).
+  // One frame, one deadline: every item in a batch shares it (the service
+  // dispatches the frame as one unit anyway).
   const std::uint32_t deadline_ms = effective_deadline_ms(req, opts_);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const proto::BatchItem& item = items[i];
     if (item.is_signature) {
-      // Per-slot isolation: one hostile signature refuses its slot, the
-      // rest of the batch still solves.
-      std::string swhy;
-      if (!cograph::signature_valid(item.body, &swhy)) {
+      // Validate the untrusted bytes here, on the loop thread: rejecting a
+      // hostile signature must not cost a queue slot or a worker wakeup.
+      std::string why;
+      if (!cograph::signature_valid(item.body, &why)) {
+        if (!batch) {
+          return queue_frame(conn, proto::encode_status_response_frame(
+                                       req.seq, req.verb,
+                                       proto::Status::InvalidSignature, why));
+        }
+        // Per-slot isolation: one hostile signature refuses its slot, the
+        // rest of the batch still solves.
         plan->slots[i].prefilled = true;
         plan->slots[i].status = proto::Status::InvalidSignature;
-        plan->slots[i].error = std::move(swhy);
+        plan->slots[i].error = std::move(why);
         continue;
       }
     }
@@ -319,19 +302,22 @@ bool Server::handle_batch(Conn& conn, const proto::Request& req) {
   }
   if (plan->reqs.empty()) {
     // Every slot refused up front — answer inline, nothing to dispatch.
-    return queue_frame(conn, encode_batch_completion(req.seq, *plan, {}));
+    return queue_frame(conn, encode_plan_completion(req.seq, *plan, {}));
   }
   if (!try_dispatch_batch(conn, req.seq, plan)) {
-    return park_or_refuse(
-        conn, Parked{proto::Verb::BatchSolve, req.seq, {}, std::move(plan),
-                     deadline_at_from(deadline_ms), req.body.size()});
+    return park_or_refuse(conn, Parked{req.seq, std::move(plan),
+                                       deadline_at_from(deadline_ms),
+                                       req.body.size()});
   }
   return true;
 }
 
-std::string Server::encode_batch_completion(
+std::string Server::encode_plan_completion(
     std::uint64_t seq, const BatchPlan& plan,
     std::span<const SolveResult> results) {
+  if (plan.verb != proto::Verb::BatchSolve) {
+    return encode_completion(seq, plan.verb, results.front());
+  }
   std::vector<proto::BatchResponseEntry> entries(plan.slots.size());
   for (std::size_t i = 0; i < plan.slots.size(); ++i) {
     if (plan.slots[i].prefilled) {
@@ -357,10 +343,10 @@ std::string Server::encode_batch_completion(
 bool Server::try_dispatch_batch(Conn& conn, std::uint64_t seq,
                                 const std::shared_ptr<BatchPlan>& plan) {
   const std::uint64_t id = conn.id;
-  // One token per batch frame, riding slot 0 (the service's batch-token
+  // One token per frame, riding slot 0 (the service's job-token
   // convention): a Cancel or disconnect abandons the whole dispatch, which
-  // matches the one-frame-one-deadline batch contract. Parked retries
-  // reuse the token they already carry.
+  // matches the one-frame-one-deadline contract. Parked retries reuse the
+  // token they already carry.
   if (plan->reqs.front().cancel == nullptr) {
     plan->reqs.front().cancel = std::make_shared<util::CancelToken>();
   }
@@ -368,8 +354,8 @@ bool Server::try_dispatch_batch(Conn& conn, std::uint64_t seq,
   Service::BatchSink sink =
       [this, id, seq, plan](std::vector<SolveResult> results) {
         // Worker thread: encode the whole frame here, hand bytes to the
-        // loop — same division of labor as single-solve completions.
-        std::string frame = encode_batch_completion(seq, *plan, results);
+        // loop, which only appends and flushes.
+        std::string frame = encode_plan_completion(seq, *plan, results);
         {
           std::lock_guard<std::mutex> lock(completions_mu_);
           completions_.push_back({id, seq, std::move(frame)});
@@ -378,28 +364,7 @@ bool Server::try_dispatch_batch(Conn& conn, std::uint64_t seq,
       };
   if (!service_.try_submit_batch_async(plan->reqs, sink)) return false;
   conn.tokens.emplace(seq, std::move(token));
-  ++conn.inflight;  // one window slot per batch: it is one dispatch
-  return true;
-}
-
-bool Server::try_dispatch(Conn& conn, proto::Verb verb, std::uint64_t seq,
-                          SolveRequest&& sreq) {
-  const std::uint64_t id = conn.id;
-  if (sreq.cancel == nullptr) {
-    sreq.cancel = std::make_shared<util::CancelToken>();
-  }
-  std::shared_ptr<util::CancelToken> token = sreq.cancel;
-  Service::ResultSink sink = [this, id, seq, verb](SolveResult res) {
-    std::string frame = encode_completion(seq, verb, res);
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back({id, seq, std::move(frame)});
-    }
-    loop_.wake();
-  };
-  if (!service_.try_submit_async(sreq, sink)) return false;
-  conn.tokens.emplace(seq, std::move(token));
-  ++conn.inflight;
+  ++conn.inflight;  // one window slot per frame: it is one dispatch
   return true;
 }
 
@@ -412,11 +377,9 @@ bool Server::send_stats(Conn& conn, std::uint64_t seq) {
       {"in_flight", s.in_flight},
       {"cache_hits", s.cache_hits},
       {"cache_misses", s.cache_misses},
-      {"coalesced", s.coalesced},
       {"express_solves", s.express_solves},
       {"batch_submits", s.batch_submits},
       {"batch_dedup_hits", s.batch_dedup_hits},
-      {"packed_solves", s.packed_solves},
       {"connections", conns_.size()},
       {"accepted", accepted_},
       {"frames", frames_},
@@ -499,7 +462,7 @@ bool Server::handle_cancel(Conn& conn, const proto::Request& req) {
     // hold if the backpressure rules ever loosen.)
     for (auto it = conn.parked.begin(); it != conn.parked.end(); ++it) {
       if (it->seq != target) continue;
-      const proto::Verb verb = it->verb;
+      const proto::Verb verb = it->plan->verb;
       parked_bytes_ -= it->bytes;
       conn.parked.erase(it);
       if (!queue_frame(conn, proto::encode_status_response_frame(
@@ -546,7 +509,7 @@ bool Server::park_or_refuse(Conn& conn, Parked p) {
     ++parked_refused_;
     return queue_frame(
         conn, proto::encode_status_response_frame(
-                  p.seq, p.verb, proto::Status::Overloaded,
+                  p.seq, p.plan->verb, proto::Status::Overloaded,
                   "service queue full and parked capacity exhausted"));
   }
   ++parked_total_;
@@ -561,7 +524,7 @@ bool Server::shed_expired_parked(Conn& conn, std::uint64_t now) {
       ++it;
       continue;
     }
-    const proto::Verb verb = it->verb;
+    const proto::Verb verb = it->plan->verb;
     const std::uint64_t seq = it->seq;
     parked_bytes_ -= it->bytes;
     ++shed_parked_;
@@ -672,7 +635,7 @@ bool Server::make_progress(Conn& conn) {
       conn.parked.pop_front();
       parked_bytes_ -= p.bytes;
       if (!queue_frame(conn, proto::encode_status_response_frame(
-                                 p.seq, p.verb, proto::Status::Draining,
+                                 p.seq, p.plan->verb, proto::Status::Draining,
                                  "server is draining"))) {
         return false;
       }
@@ -690,7 +653,7 @@ bool Server::make_progress(Conn& conn) {
         ++shed_parked_;
         if (!queue_frame(conn,
                          proto::encode_status_response_frame(
-                             dead.seq, dead.verb,
+                             dead.seq, dead.plan->verb,
                              proto::Status::DeadlineExceeded,
                              "deadline exceeded while parked"))) {
           return false;
@@ -703,17 +666,9 @@ bool Server::make_progress(Conn& conn) {
           std::min<std::uint64_t>(
               p.deadline_at - now,
               std::numeric_limits<std::uint32_t>::max()));
-      if (p.plan != nullptr) {
-        for (SolveRequest& r : p.plan->reqs) r.deadline_ms = remaining;
-      } else {
-        p.req.deadline_ms = remaining;
-      }
+      for (SolveRequest& r : p.plan->reqs) r.deadline_ms = remaining;
     }
-    if (p.plan != nullptr) {
-      if (!try_dispatch_batch(conn, p.seq, p.plan)) return true;
-    } else {
-      if (!try_dispatch(conn, p.verb, p.seq, std::move(p.req))) return true;
-    }
+    if (!try_dispatch_batch(conn, p.seq, p.plan)) return true;
     parked_bytes_ -= conn.parked.front().bytes;
     conn.parked.pop_front();
   }

@@ -105,11 +105,15 @@ class Server {
   void request_drain();
 
  private:
-  /// Decoded BatchSolve frame en route to (or through) the service. Slots
-  /// refused on the loop thread (invalid signatures) are prefilled here;
-  /// the rest map positionally onto `reqs`. Shared with the worker-side
-  /// sink, which needs the slot plan to encode the response frame.
+  /// Decoded solve frame en route to (or through) the service: a
+  /// BatchSolve frame, or a Solve frame as a one-slot batch. Slots refused
+  /// on the loop thread (invalid batch signatures) are prefilled here; the
+  /// rest map positionally onto `reqs`. Shared with the worker-side sink,
+  /// which needs the slot plan to encode the response frame.
   struct BatchPlan {
+    /// The frame's verb: SolveText/SolveSignature get a Solve response
+    /// frame for slot 0, BatchSolve the batch frame.
+    protocol::Verb verb = protocol::Verb::BatchSolve;
     struct Slot {
       bool prefilled = false;
       protocol::Status status = protocol::Status::Ok;
@@ -122,10 +126,7 @@ class Server {
     std::vector<std::size_t> req_slot;
   };
   struct Parked {
-    protocol::Verb verb;
     std::uint64_t seq;
-    SolveRequest req;
-    /// Non-null for a parked batch (`req` is then unused).
     std::shared_ptr<BatchPlan> plan;
     /// Absolute steady-clock expiry anchored at FRAME ARRIVAL (0 = none):
     /// time spent parked counts against the request's deadline, and the
@@ -174,22 +175,20 @@ class Server {
   bool read_conn(Conn& conn);
   bool consume_frames(Conn& conn);
   bool handle_frame(Conn& conn, std::string_view payload);
+  /// Solve and BatchSolve frames: decode into a BatchPlan, then dispatch
+  /// or park it. An invalid Solve signature is answered inline.
   bool handle_solve(Conn& conn, const protocol::Request& req);
-  bool handle_batch(Conn& conn, const protocol::Request& req);
-  /// True if the request entered the service (or was refused inline by a
+  /// True if the plan entered the service (or was refused inline by a
   /// closed service — the sink fires either way); false = queue full,
-  /// `sreq` intact, caller parks.
-  bool try_dispatch(Conn& conn, protocol::Verb verb, std::uint64_t seq,
-                    SolveRequest&& sreq);
-  /// Batch form of try_dispatch: same contract, `plan->reqs` intact on
-  /// false so the caller can park the plan and retry.
+  /// `plan->reqs` intact so the caller can park the plan and retry.
   bool try_dispatch_batch(Conn& conn, std::uint64_t seq,
                           const std::shared_ptr<BatchPlan>& plan);
-  /// Merges prefilled slots with the service's results (positionally
-  /// aligned with plan.req_slot) into one response frame. Runs on the
-  /// solver worker for dispatched batches, on the loop thread when every
-  /// slot was refused up front.
-  [[nodiscard]] static std::string encode_batch_completion(
+  /// The response frame of a plan: a Solve response for a one-slot Solve
+  /// plan; otherwise prefilled slots merged with the service's results
+  /// (positionally aligned with plan.req_slot) into one batch frame. Runs
+  /// on the solver worker for dispatched plans, on the loop thread when
+  /// every slot was refused up front.
+  [[nodiscard]] static std::string encode_plan_completion(
       std::uint64_t seq, const BatchPlan& plan,
       std::span<const SolveResult> results);
   bool send_stats(Conn& conn, std::uint64_t seq);

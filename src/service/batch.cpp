@@ -11,8 +11,8 @@
 namespace copath::service {
 namespace {
 
-/// Failure shape of the Service's pre-solve path (process()'s canonicalize
-/// catch): label + backend + error, routed left at its default.
+/// Failure shape of the pre-solve path (canonicalize/resolve, cache-hit
+/// replay): label + backend + error, routed left at its default.
 SolveResult prep_failure(const std::string& label, Backend backend,
                          std::string error) {
   SolveResult res;
@@ -237,7 +237,7 @@ std::vector<SolveResult> solve_batch_fused(
           }
           // The member's instance shares the canonical class but not the
           // leaf ids: replay through ITS permutation, exactly like a
-          // Service cache hit or coalesced waiter.
+          // Service cache hit.
           results[j] = remapped_from_canonical(*canon_src, *preps[j].form);
           results[j].label = reqs[j].label;
         } else {

@@ -23,8 +23,10 @@
 //               (BatchDedup::IdenticalTree). Per-slot failure isolation: a
 //               bad instance fails alone, everything else still solves.
 //
-// Shared by Service::submit_batch (Canonical dedup + cache) and the
-// host-sweep lane of Solver::solve_batch (IdenticalTree dedup, no cache).
+// Shared by every Service dispatch — a submit_batch payload, or a single
+// submit as a one-slot span (Canonical dedup + cache; IdenticalTree when
+// the cache is off) — and the host-sweep lane of Solver::solve_batch
+// (IdenticalTree dedup, no cache).
 // See DESIGN.md §10 for the dedup-key lifetime argument and why the two
 // dedup modes differ.
 #pragma once
@@ -44,9 +46,9 @@ enum class BatchDedup : std::uint8_t {
   /// Group by (canonical signature, result-affecting options): permuted /
   /// relabeled twins share a group and every non-rep member is replayed
   /// through its OWN from_canonical permutation — exactly what independent
-  /// Service submits hand such twins (cache hits and coalesced waiters are
-  /// remapped the same way), so batch results stay bitwise-equal to N
-  /// independent submits. The Service's mode whenever its cache is on.
+  /// Service submits hand such twins (cache hits are remapped the same
+  /// way), so batch results stay bitwise-equal to N independent submits.
+  /// The Service's mode whenever its cache is on.
   Canonical,
   /// Group only instances whose resolved cotrees are EXACTLY identical
   /// (same node layout, same vertex ids): replay is the identity, so a

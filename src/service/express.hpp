@@ -1,18 +1,18 @@
-// The sequential solve kernel, and the Service express lane built on it.
+// The sequential solve kernel, and the express lane built on it.
 //
 // solve_sweep is the library's one host solve: binarize -> leftist ->
 // Lemma 2.3 sweep -> verdicts -> optional cycle -> optional validate, with
 // the binarized tree built once in the caller's exec::Arena and shared by
 // the sweep and every verdict. Every host-sweep request (Backend::Sequential
 // and its aliases Backend::Native and Backend::Adaptive) reaches it through
-// the same calls:
-// Solver::solve, Solver::solve_batch, a Service single solve and a Service
-// batch group. Results are therefore bitwise-identical whichever caller
-// ran it, and a warm thread solves without heap allocations beyond the
-// SolveResult it returns.
+// the same calls: Solver::solve, and a group of the fused batch core
+// (service/batch.hpp), which runs every Service dispatch and the host-sweep
+// lane of Solver::solve_batch. Results are therefore bitwise-identical
+// whichever caller ran it, and a warm thread solves without heap
+// allocations beyond the SolveResult it returns.
 //
-// The express lane is the Service's registry-free call into the kernel:
-// resolve the instance, then solve_sweep on the worker's arena.
+// The express lane is the registry-free call into the kernel for one
+// instance: resolve it, then solve_sweep on the caller's arena.
 #pragma once
 
 #include <string>
@@ -45,8 +45,9 @@ void finish_solve(SolveResult& res, const cograph::Cotree& t,
                   const SolveOptions& opts, const core::CountVerdicts& v,
                   bool exact);
 
-/// The structured result of a solve that threw (Solver::solve, the express
-/// lane, a batch group): `routed` echoes the backend.
+/// The structured result of a solve that threw or was cancelled before it
+/// ran (Solver::solve, the express lane, a batch group): `routed` echoes
+/// the backend.
 [[nodiscard]] SolveResult solve_failure(const std::string& label,
                                         Backend backend, std::string error);
 

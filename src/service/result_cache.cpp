@@ -175,7 +175,7 @@ void ResultCache::insert(const CacheKeyRef& key,
   auto& bucket = sh.by_hash[key.hash];
   for (const auto it : bucket) {
     if (it->key.ref() == key) {
-      // Refresh (coalesced duplicates can double-insert harmlessly).
+      // Refresh (concurrent misses on one key double-insert harmlessly).
       it->result = std::move(canonical_result);
       sh.lru.splice(sh.lru.begin(), sh.lru, it);
       return;

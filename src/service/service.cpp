@@ -6,10 +6,8 @@
 #include <thread>
 #include <utility>
 
-#include "core/backend.hpp"
 #include "exec/arena.hpp"
 #include "service/batch.hpp"
-#include "service/express.hpp"
 #include "util/clock.hpp"
 #include "util/fault.hpp"
 #include "util/thread_pool.hpp"
@@ -26,13 +24,9 @@ SolveResult failure(const std::string& label, Backend backend,
   return res;
 }
 
-std::uint64_t deadline_at_from(std::uint32_t deadline_ms) {
-  return deadline_ms == 0 ? 0 : util::steady_now_ms() + deadline_ms;
-}
-
-/// A batch shares one queue slot, so it expires as a unit: the tightest
+/// A job shares one queue slot, so it expires as a unit: the tightest
 /// nonzero slot deadline governs the whole dispatch.
-std::uint64_t batch_deadline_at(const std::vector<SolveRequest>& reqs) {
+std::uint64_t job_deadline_at(const std::vector<SolveRequest>& reqs) {
   std::uint64_t tightest = 0;
   const std::uint64_t now = util::steady_now_ms();
   for (const SolveRequest& r : reqs) {
@@ -43,8 +37,7 @@ std::uint64_t batch_deadline_at(const std::vector<SolveRequest>& reqs) {
   return tightest;
 }
 
-/// True when a failed result is a cancellation outcome (either reason) —
-/// the condition under which parked waiters must not inherit it.
+/// True when a failed result is a cancellation outcome (either reason).
 bool is_cancel_error(const SolveResult& res) {
   return !res.ok &&
          (res.error == kErrCancelled || res.error == kErrDeadlineExceeded);
@@ -150,21 +143,15 @@ SolveOptions Service::effective_options(const SolveRequest& req) const {
 }
 
 void Service::arm_job_cancel(Job& job) {
-  job.cancel = job.is_batch
-                   ? (job.batch.empty() ? nullptr : job.batch.front().cancel)
-                   : job.req.cancel;
-  if (job.cancel == nullptr &&
+  job.cancel = job.reqs.empty() ? nullptr : job.reqs.front().cancel;
+  if (job.cancel == nullptr && !job.reqs.empty() &&
       (job.deadline_at != 0 || opts_.watchdog_ms > 0)) {
     // Nobody handed us a token but this job needs one: a deadline must be
     // enforceable mid-solve, and the watchdog needs something to trip.
-    // Stored back as the request's (a batch's slot-0) token, where the
-    // batch core polls it between groups.
+    // Stored back as slot 0's token, where the batch core polls it
+    // between groups.
     job.cancel = std::make_shared<util::CancelToken>();
-    if (!job.is_batch) {
-      job.req.cancel = job.cancel;
-    } else if (!job.batch.empty()) {
-      job.batch.front().cancel = job.cancel;
-    }
+    job.reqs.front().cancel = job.cancel;
   }
   if (job.cancel != nullptr && job.deadline_at != 0) {
     job.cancel->set_deadline(job.deadline_at);
@@ -202,8 +189,7 @@ void Service::watchdog_loop() {
 
 std::future<SolveResult> Service::submit(SolveRequest req) {
   // std::promise is move-only and std::function requires copyable
-  // callables, so the future path shares the promise. The daemon path uses
-  // submit_async directly and never pays this allocation.
+  // callables, so the future path shares the promise.
   auto promise = std::make_shared<std::promise<SolveResult>>();
   auto fut = promise->get_future();
   submit_async(std::move(req), [promise](SolveResult res) {
@@ -214,55 +200,11 @@ std::future<SolveResult> Service::submit(SolveRequest req) {
 
 void Service::submit_async(SolveRequest req, ResultSink sink) {
   Job job;
-  job.req = std::move(req);
-  job.sink = std::move(sink);
-  job.deadline_at = deadline_at_from(job.req.deadline_ms);
-  arm_job_cancel(job);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (util::fault_point("service.admit")) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(failure(job.req.label, effective_options(job.req).backend,
-                     kErrOverloaded));
-    return;
-  }
-  if (!queue_.push(job)) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(failure(job.req.label, effective_options(job.req).backend,
-                     refusal_reason()));
-  }
-}
-
-bool Service::try_submit_async(SolveRequest& req, ResultSink& sink) {
-  Job job;
-  job.req = std::move(req);
-  job.sink = std::move(sink);
-  job.deadline_at = deadline_at_from(job.req.deadline_ms);
-  arm_job_cancel(job);
-  // The injected admission refusal consumes the request (sink fires
-  // inline, like a post-drain refusal): structured Overloaded, not a
-  // park-and-retry — chaos tests prove callers survive the refusal path.
-  if (util::fault_point("service.admit")) {
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(failure(job.req.label, effective_options(job.req).backend,
-                     kErrOverloaded));
-    return true;
-  }
-  if (queue_.try_push(job)) {
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (queue_.closed()) {
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(failure(job.req.label, effective_options(job.req).backend,
-                     refusal_reason()));
-    return true;
-  }
-  // Queue full: hand the pieces back so the caller can park and retry.
-  req = std::move(job.req);
-  sink = std::move(job.sink);
-  return false;
+  job.reqs.push_back(std::move(req));
+  job.sink = [sink = std::move(sink)](std::vector<SolveResult> results) {
+    sink(std::move(results.front()));
+  };
+  (void)admit(job, /*block=*/true);
 }
 
 std::future<std::vector<SolveResult>> Service::submit_batch(
@@ -289,63 +231,64 @@ std::future<std::vector<SolveResult>> Service::submit_batch(
   return submit_batch(std::move(reqs));
 }
 
-void Service::refuse_batch(std::vector<SolveRequest>& reqs, BatchSink& sink,
-                           const char* reason) {
+void Service::refuse_job(Job& job, const char* reason) {
   std::vector<SolveResult> out;
-  out.reserve(reqs.size());
-  for (const SolveRequest& r : reqs) {
+  out.reserve(job.reqs.size());
+  for (const SolveRequest& r : job.reqs) {
     out.push_back(failure(r.label, effective_options(r).backend, reason));
   }
-  completed_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  sink(std::move(out));
+  completed_.fetch_add(job.reqs.size(), std::memory_order_relaxed);
+  job.sink(std::move(out));
+}
+
+bool Service::admit(Job& job, bool block) {
+  job.deadline_at = job_deadline_at(job.reqs);
+  arm_job_cancel(job);
+  // One queue slot, k requests: backpressure is per dispatch, the
+  // request-level counters stay per request. A blocking submit counts
+  // before it waits; a non-blocking one only once the job is consumed.
+  const std::size_t n = job.reqs.size();
+  if (block) submitted_.fetch_add(n, std::memory_order_relaxed);
+  // The injected admission refusal consumes the job (sink fires inline,
+  // like a post-drain refusal): structured Overloaded, not a park-and-retry
+  // — chaos tests prove callers survive the refusal path.
+  if (util::fault_point("service.admit")) {
+    if (!block) submitted_.fetch_add(n, std::memory_order_relaxed);
+    refuse_job(job, kErrOverloaded);
+    return true;
+  }
+  if (block ? queue_.push(job) : queue_.try_push(job)) {
+    if (!block) submitted_.fetch_add(n, std::memory_order_relaxed);
+    return true;
+  }
+  if (!block && !queue_.closed()) return false;  // full: caller parks
+  if (!block) submitted_.fetch_add(n, std::memory_order_relaxed);
+  refuse_job(job, refusal_reason());
+  return true;
 }
 
 void Service::submit_batch_async(std::vector<SolveRequest> reqs,
                                  BatchSink sink) {
+  batch_submits_.fetch_add(1, std::memory_order_relaxed);
   Job job;
-  job.is_batch = true;
-  job.batch = std::move(reqs);
-  job.batch_sink = std::move(sink);
-  job.deadline_at = batch_deadline_at(job.batch);
-  arm_job_cancel(job);
-  // One queue slot, k requests: backpressure is per dispatch, the
-  // request-level counters stay per request.
-  submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
-  if (util::fault_point("service.admit")) {
-    refuse_batch(job.batch, job.batch_sink, kErrOverloaded);
-    return;
-  }
-  if (!queue_.push(job)) {
-    refuse_batch(job.batch, job.batch_sink, refusal_reason());
-  }
+  job.reqs = std::move(reqs);
+  job.sink = std::move(sink);
+  (void)admit(job, /*block=*/true);
 }
 
 bool Service::try_submit_batch_async(std::vector<SolveRequest>& reqs,
                                      BatchSink& sink) {
   Job job;
-  job.is_batch = true;
-  job.batch = std::move(reqs);
-  job.batch_sink = std::move(sink);
-  job.deadline_at = batch_deadline_at(job.batch);
-  arm_job_cancel(job);
-  if (util::fault_point("service.admit")) {
-    submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
-    refuse_batch(job.batch, job.batch_sink, kErrOverloaded);
-    return true;
+  job.reqs = std::move(reqs);
+  job.sink = std::move(sink);
+  if (!admit(job, /*block=*/false)) {
+    // Queue full: hand the pieces back so the caller can park and retry.
+    reqs = std::move(job.reqs);
+    sink = std::move(job.sink);
+    return false;
   }
-  if (queue_.try_push(job)) {
-    submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
-    return true;
-  }
-  if (queue_.closed()) {
-    submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
-    refuse_batch(job.batch, job.batch_sink, refusal_reason());
-    return true;
-  }
-  // Queue full: hand the pieces back so the caller can park and retry.
-  reqs = std::move(job.batch);
-  sink = std::move(job.batch_sink);
-  return false;
+  batch_submits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void Service::worker_loop(std::size_t worker) {
@@ -367,10 +310,8 @@ void Service::worker_loop(std::size_t worker) {
     } else if (job->deadline_at != 0 &&
                util::steady_now_ms() >= job->deadline_at) {
       shed_job(std::move(*job), kErrDeadlineExceeded);
-    } else if (job->is_batch) {
-      process_batch(std::move(*job), worker);
     } else {
-      process(std::move(*job), worker);
+      process_batch(std::move(*job), worker);
     }
     const exec::Arena::Stats& now = arena.stats();
     arena_acquires_.fetch_add(now.acquires - last.acquires,
@@ -385,250 +326,25 @@ void Service::worker_loop(std::size_t worker) {
 
 void Service::shed_job(Job job, const char* reason) {
   // Deadline expiries keep their historical counter (shed_expired);
-  // explicit cancels observed at pickup count as cancellations.
+  // explicit cancels observed at pickup count as cancellations. Counted
+  // per slot, not per dispatch.
   auto& counter = reason == kErrCancelled ? cancelled_ : shed_;
-  if (job.is_batch) {
-    counter.fetch_add(job.batch.size(), std::memory_order_relaxed);
-    refuse_batch(job.batch, job.batch_sink, reason);
-    return;
-  }
-  counter.fetch_add(1, std::memory_order_relaxed);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  job.sink(failure(job.req.label, effective_options(job.req).backend,
-                   reason));
-}
-
-void Service::process(Job job, std::size_t worker) {
-  const std::string label = job.req.label;
-  util::CancelToken* const tok = job.cancel.get();
-  // The cancel borrow rides the options into the engine; it is NOT part of
-  // the cache key (OptionsKey ignores it — cancellation never changes an
-  // answer).
-  SolveOptions opts = effective_options(job.req);
-  opts.cancel = tok;
-
-  // Resolve + canonicalize up front; bad instances fail structurally here
-  // and never reach the cache or an engine.
-  // Every branch below must end in the sink: an exception escaping a
-  // worker would std::terminate the process (std::thread) and strand any
-  // parked waiters, so plug-in backends throwing non-standard exceptions
-  // and allocation failures are caught and turned into structured results.
-  const cograph::CanonicalForm* form = nullptr;
-  try {
-    if (opts_.use_cache) {
-      // The cache-hit path never calls resolve() — a signature-sourced
-      // instance serves warm hits without ever materializing its cotree
-      // (the engines resolve lazily on the miss path).
-      form = &job.req.instance.canonical();
-    } else {
-      (void)job.req.instance.resolve();
-    }
-  } catch (const std::exception& e) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(failure(label, opts.backend, e.what()));
-    return;
-  } catch (...) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(failure(label, opts.backend, "non-standard exception"));
-    return;
-  }
-
-  // The express lane: a host-sweep request runs the solve kernel inline —
-  // no registry walk, all scratch from this worker's arena. Other backends
-  // go through Solver::solve with the request's options unchanged. The
-  // instance is borrowed, never moved: it (and the canonical form the
-  // cache key views) must stay alive through the canonical-space store
-  // below.
-  const bool express = core::is_host_sweep(opts.backend);
-  const auto solve_once = [&]() -> SolveResult {
-    // From here the worker is "in a solve": its token is registered with
-    // the watchdog until solve_once returns.
-    WatchGuard wg(*this, worker, job.cancel);
-    if (util::fault_point("solve.stall")) {
-      // Manufactured hang: spin silently (no heartbeat) until someone —
-      // the watchdog, a deadline, a wire Cancel — trips the token.
-      stall_for_token(tok);
-    }
-    if (tok != nullptr && tok->poll()) {
-      return failure(label, opts.backend,
-                     util::CancelToken::message(tok->reason()));
-    }
-    if (express) {
-      express_.fetch_add(1, std::memory_order_relaxed);
-      return service::solve_express(job.req.instance, label, opts,
-                                    exec::Arena::for_this_thread());
-    }
-    try {
-      return solver_.solve(job.req.instance, label, opts);
-    } catch (...) {  // solve() catches std::exception; plug-ins may not
-      return failure(label, opts.backend, "non-standard exception");
-    }
-  };
-
-  if (!opts_.use_cache) {
-    SolveResult res = solve_once();
-    if (is_cancel_error(res)) cancelled_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(std::move(res));
-    return;
-  }
-
-  const service::CacheKeyRef key = service::make_cache_key(*form, opts);
-  if (const auto hit = cache_.lookup(key)) {
-    SolveResult res;
-    try {
-      // One fused copy+remap pass, outside the shard lock.
-      res = service::remapped_from_canonical(*hit, *form);
-      res.label = label;
-    } catch (...) {
-      res = failure(label, opts.backend, "failed to materialize cache hit");
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    job.sink(std::move(res));
-    return;
-  }
-
-  // Coalescing: if a twin (same canonical signature AND options) is
-  // already being solved, park on it — the computing worker fulfills us
-  // from its result.
-  service::CacheKey flight_key = service::own_key(key);
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    const auto it = inflight_.find(flight_key);
-    if (it != inflight_.end()) {
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      it->second.waiters.push_back(Waiter{std::move(job.sink),
-                                          std::move(job.req),
-                                          job.deadline_at});
-      return;
-    }
-    inflight_.emplace(flight_key, InFlight{});
-  }
-
-  // L1 missed; probe the persistent tier before solving. A disk hit is
-  // decoded into the exact canonical-space result another process (or a
-  // previous life of this one) stored, promoted into L1, and replayed
-  // through this instance's permutation exactly like a RAM hit — the two
-  // are indistinguishable to the caller.
-  SolveResult res;
-  std::shared_ptr<const SolveResult> canonical;
-  bool from_l2 = false;
-  if (persist_ != nullptr) {
-    if (auto disk = persist_->lookup(key)) {
-      try {
-        res = service::remapped_from_canonical(*disk, *form);
-        res.label = label;
-        canonical = std::move(disk);
-        cache_.insert(key, canonical);
-        promotions_.fetch_add(1, std::memory_order_relaxed);
-        from_l2 = true;
-      } catch (...) {
-        canonical = nullptr;
-        from_l2 = false;
-      }
-    }
-  }
-  if (!from_l2) {
-    res = solve_once();
-    if (res.ok) {
-      try {
-        canonical = std::make_shared<const SolveResult>(
-            service::to_canonical_space(res, *form));
-        cache_.insert(key, canonical);
-        // Write-through: the result survives this process. append() never
-        // throws — disk trouble degrades to a skipped write.
-        if (persist_ != nullptr) persist_->append(key, *canonical);
-      } catch (...) {
-        // A failed store must still release the in-flight entry and answer
-        // every parked waiter below.
-        canonical = nullptr;
-      }
-    }
-  }
-
-  std::vector<Waiter> waiters;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    const auto it = inflight_.find(flight_key);
-    waiters = std::move(it->second.waiters);
-    inflight_.erase(it);
-  }
-  const bool leader_cancelled = is_cancel_error(res);
-  for (auto& w : waiters) {
-    if (leader_cancelled) {
-      // The leader's cancellation is the leader's business: a waiter whose
-      // own token is clean gets re-queued and solved on its own terms.
-      requeue_waiter(std::move(w));
-      continue;
-    }
-    SolveResult wres;
-    try {
-      if (res.ok && canonical != nullptr) {
-        // The waiter's instance shares the canonical class but not
-        // necessarily the leaf ids: replay through *its* permutation.
-        wres = service::remapped_from_canonical(*canonical,
-                                             w.req.instance.canonical());
-      } else {
-        wres = res;
-      }
-      wres.label = std::move(w.req.label);
-    } catch (...) {
-      wres = failure({}, opts.backend, "failed to materialize result");
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    w.sink(std::move(wres));
-  }
-  if (leader_cancelled) cancelled_.fetch_add(1, std::memory_order_relaxed);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  job.sink(std::move(res));
-}
-
-void Service::requeue_waiter(Waiter w) {
-  const Backend backend = effective_options(w.req).backend;
-  util::CancelToken* const wtok = w.req.cancel.get();
-  if (wtok != nullptr && wtok->poll()) {
-    // The waiter was cancelled too (its own deadline or an explicit
-    // cancel) — answer with ITS reason, not the leader's.
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    w.sink(failure(w.req.label, backend,
-                   util::CancelToken::message(wtok->reason())));
-    return;
-  }
-  if (w.deadline_at != 0 && util::steady_now_ms() >= w.deadline_at) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    w.sink(failure(w.req.label, backend, kErrDeadlineExceeded));
-    return;
-  }
-  Job j;
-  j.req = std::move(w.req);
-  j.sink = std::move(w.sink);
-  j.deadline_at = w.deadline_at;
-  j.cancel = j.req.cancel;
-  // try_push, never push: a blocking push from a worker thread could
-  // deadlock a full queue against itself. Already counted in submitted_
-  // at original admission — a successful requeue counts nothing.
-  if (!queue_.try_push(j)) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    j.sink(failure(j.req.label, backend,
-                   queue_.closed() ? refusal_reason() : kErrOverloaded));
-  }
+  counter.fetch_add(job.reqs.size(), std::memory_order_relaxed);
+  refuse_job(job, reason);
 }
 
 void Service::process_batch(Job job, std::size_t worker) {
-  batch_submits_.fetch_add(1, std::memory_order_relaxed);
   util::CancelToken* const tok = job.cancel.get();
-  // The whole batch is one dispatch, so it is one watchdog unit too.
+  // The whole job is one dispatch, so it is one watchdog unit too: the
+  // guard covers canonicalization and the cache probe as well as the solve.
   WatchGuard wg(*this, worker, job.cancel);
   if (util::fault_point("solve.stall")) {
+    // Manufactured hang: spin silently (no heartbeat) until someone — the
+    // watchdog, a deadline, a wire Cancel — trips the token.
     stall_for_token(tok);
   }
   if (tok != nullptr && tok->poll()) {
-    const char* reason = util::CancelToken::message(tok->reason());
-    auto& counter = reason == kErrCancelled ? cancelled_ : shed_;
-    counter.fetch_add(job.batch.size(), std::memory_order_relaxed);
-    refuse_batch(job.batch, job.batch_sink, reason);
+    shed_job(std::move(job), util::CancelToken::message(tok->reason()));
     return;
   }
 
@@ -657,17 +373,17 @@ void Service::process_batch(Job job, std::size_t worker) {
 
   service::BatchOutcome outcome;
   std::vector<SolveResult> results = service::solve_batch_fused(
-      job.batch, opts_.solve, cfg, fallback,
+      job.reqs, opts_.solve, cfg, fallback,
       exec::Arena::for_this_thread(), &outcome);
 
   batch_dedup_.fetch_add(outcome.dedup_hits, std::memory_order_relaxed);
-  packed_.fetch_add(outcome.packed_solves, std::memory_order_relaxed);
+  express_.fetch_add(outcome.packed_solves, std::memory_order_relaxed);
   promotions_.fetch_add(outcome.l2_hits, std::memory_order_relaxed);
   for (const SolveResult& r : results) {
     if (is_cancel_error(r)) cancelled_.fetch_add(1, std::memory_order_relaxed);
   }
-  completed_.fetch_add(job.batch.size(), std::memory_order_relaxed);
-  job.batch_sink(std::move(results));
+  completed_.fetch_add(job.reqs.size(), std::memory_order_relaxed);
+  job.sink(std::move(results));
 }
 
 Service::Stats Service::stats() const {
@@ -679,12 +395,10 @@ Service::Stats Service::stats() const {
   // snapshot — clamp instead of wrapping.
   s.in_flight = s.submitted >= s.completed ? s.submitted - s.completed : 0;
   s.draining = draining_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.shed_expired = shed_.load(std::memory_order_relaxed);
   s.express_solves = express_.load(std::memory_order_relaxed);
   s.batch_submits = batch_submits_.load(std::memory_order_relaxed);
   s.batch_dedup_hits = batch_dedup_.load(std::memory_order_relaxed);
-  s.packed_solves = packed_.load(std::memory_order_relaxed);
   s.arena_acquires = arena_acquires_.load(std::memory_order_relaxed);
   s.arena_reuses = arena_reuses_.load(std::memory_order_relaxed);
   s.arena_fresh_allocs = arena_fresh_.load(std::memory_order_relaxed);

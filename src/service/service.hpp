@@ -4,18 +4,16 @@
 // already holds, Service is the traffic-serving shape: requests arrive one
 // at a time from many threads, `submit()` hands back a std::future
 // immediately, and a fixed pool of solver workers drains a bounded MPMC
-// queue. Four mechanisms turn repeated/small traffic into cheap traffic:
+// queue. Every request is a batch: a single submit is a one-slot job, and
+// every job runs through the fused batch core (service/batch.hpp), the one
+// implementation of probe -> solve -> write-through. Three mechanisms turn
+// repeated/small traffic into cheap traffic:
 //
 //  * Canonical memo cache — every request is canonicalized
 //    (cograph/canonical.hpp) and looked up in a sharded ResultCache by its
 //    binary structural signature; a hit replays the stored canonical-space
 //    result through the requesting instance's own leaf permutation and
 //    never touches a solve engine.
-//  * In-flight coalescing — a request whose (canonical signature, options)
-//    twin is *currently being solved* parks on that computation instead of
-//    starting its own; when the twin finishes, every parked waiter is
-//    fulfilled from the one result. Concurrent identical requests compute
-//    once.
 //  * Express lane — every host-sweep request (Backend::Sequential, the
 //    default, and its aliases Native and Adaptive) skips backend/registry
 //    dispatch entirely and runs parse -> binarize -> sequential sweep
@@ -31,16 +29,16 @@
 //
 // Failures stay structured: a bad instance resolves to an ok == false
 // SolveResult on the future, exactly like Solver. Results for cache hits
-// and coalesced twins are bitwise-identical to a direct solve for repeated
-// instances, and isomorphism-equivalent (valid cover of the same minimum
-// size, identical verdicts) for permuted/relabeled ones — see
-// DESIGN.md §6 for the soundness argument and §8 for the front-end
-// allocation budget.
+// are bitwise-identical to a direct solve for repeated instances, and
+// isomorphism-equivalent (valid cover of the same minimum size, identical
+// verdicts) for permuted/relabeled ones — see DESIGN.md §6 for the
+// soundness argument and §8 for the front-end allocation budget.
 //
 //   copath::Service svc;
 //   auto f1 = svc.submit({copath::Instance::text("(* (+ a b) c)")});
+//   SolveResult r1 = f1.get();
 //   auto f2 = svc.submit({copath::Instance::text("(* c (+ b a))")});  // hit
-//   SolveResult r1 = f1.get(), r2 = f2.get();
+//   SolveResult r2 = f2.get();
 #pragma once
 
 #include <atomic>
@@ -53,7 +51,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "copath_solver.hpp"
@@ -79,9 +76,9 @@ inline constexpr const char* kErrDeadlineExceeded = util::kDeadlineMsg;
 /// The request was cancelled — wire Cancel verb, client disconnect, or the
 /// worker watchdog. Aliases util::kCancelledMsg (see above).
 inline constexpr const char* kErrCancelled = util::kCancelledMsg;
-/// Admission refused under overload pressure (today only injected via
-/// util::FaultInjector's "service.admit" point; a real admission limiter
-/// would reuse the same string).
+/// Admission refused under overload pressure. The Service itself emits it
+/// only through util::FaultInjector's "service.admit" point; net::Server
+/// answers Status::Overloaded for its parked-capacity refusals on its own.
 inline constexpr const char* kErrOverloaded = "service overloaded";
 
 class Service {
@@ -95,8 +92,8 @@ class Service {
     /// Bound of the submit queue — the backpressure knob. submit() blocks
     /// while the queue holds this many undispatched requests.
     std::size_t queue_capacity = 256;
-    /// Master switch for the memo cache AND in-flight coalescing (off =
-    /// every request computes; the differential-test baseline).
+    /// Master switch for the memo cache (off = every request computes; the
+    /// differential-test baseline).
     bool use_cache = true;
     service::ResultCache::Config cache{};
     /// Persistent L2 tier (service/persist_cache.hpp). persist.dir empty =
@@ -117,14 +114,16 @@ class Service {
 
   struct Stats {
     std::uint64_t submitted = 0;
-    /// Futures fulfilled (hits + misses computed + coalesced + failures).
+    /// Requests answered (hits + misses computed + failures + refusals),
+    /// counted before the sink runs. At quiescence completed == submitted.
     std::uint64_t completed = 0;
     /// Requests sitting in the submit queue, undispatched — the
     /// backpressure signal the daemon maps its per-connection read window
     /// onto (stop reading sockets when this approaches queue_capacity).
     std::uint64_t queue_depth = 0;
-    /// Accepted requests not yet fulfilled (queued + being solved +
-    /// parked on an in-flight twin) = submitted - completed.
+    /// Accepted requests not yet answered (queued + being solved) =
+    /// submitted - completed. It counts a request from admission, before
+    /// any worker pops it.
     std::uint64_t in_flight = 0;
     /// True once drain() has begun: new submits get structured refusals.
     bool draining = false;
@@ -132,25 +131,26 @@ class Service {
     /// request, so the cache counters are the request-level numbers).
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    /// Requests fulfilled by parking on an in-flight twin computation.
-    std::uint64_t coalesced = 0;
     /// Requests shed at the worker because their deadline passed while
-    /// they sat in the queue: answered with a structured "deadline
-    /// exceeded" failure, the solve never ran. Counted per request (a
-    /// whole expired batch adds its slot count).
+    /// they sat in the queue or was seen at the start of their dispatch:
+    /// answered with a structured "deadline exceeded" failure, the solve
+    /// never ran. Counted per request (a whole expired batch adds its slot
+    /// count).
     std::uint64_t shed_expired = 0;
-    /// Requests solved inline on the express lane (no registry dispatch).
+    /// Solves run by the sequential solve kernel on the express lane: one
+    /// per single-request miss and one per unique batch group (see
+    /// service/batch.hpp). Failed solves are not counted.
     std::uint64_t express_solves = 0;
-    /// submit_batch calls accepted (each is ONE queue slot and ONE worker
-    /// dispatch however many requests it carries).
+    /// submit_batch* calls admitted (each is ONE queue slot and ONE worker
+    /// dispatch however many requests it carries); submit()/submit_async()
+    /// do not count. The daemon dispatches every solve frame through
+    /// try_submit_batch_async, so over the wire this counts Solve and
+    /// BatchSolve frames alike.
     std::uint64_t batch_submits = 0;
-    /// Batch requests answered from another request in the SAME batch
-    /// (intra-batch dedup by canonical signature — cache hits are counted
-    /// by cache_hits as usual, once per unique group).
+    /// Requests answered from another request in the SAME job (dedup by
+    /// canonical signature — cache hits are counted by cache_hits as usual,
+    /// once per unique group).
     std::uint64_t batch_dedup_hits = 0;
-    /// Unique batch groups solved by the sequential solve kernel (see
-    /// service/batch.hpp).
-    std::uint64_t packed_solves = 0;
     /// Always 0: the Service claims no thread leases. Kept only because
     /// the perfbench ledger reads it.
     std::uint64_t lease_acquires = 0;
@@ -178,7 +178,7 @@ class Service {
     service::CacheStats cache{};
     /// Persistent tier counters (zeros when no cache dir is configured).
     bool persist_enabled = false;
-    /// L2 hits promoted into L1 (single submits + batch groups).
+    /// L2 hits promoted into L1 (one per unique group of a job).
     std::uint64_t persist_promotions = 0;
     service::PersistCache::Stats persist{};
   };
@@ -192,13 +192,14 @@ class Service {
 
   /// Completion callback for the async submit paths. Invoked exactly once
   /// per accepted or refused request, on whichever thread finishes it
-  /// (a solver worker, the worker computing a coalesced twin, or — for
-  /// refusals — the submitting thread itself). Must not throw.
+  /// (a solver worker, or — for refusals — the submitting thread itself).
+  /// Must not throw.
   using ResultSink = std::function<void(SolveResult)>;
 
-  /// Enqueues a request and returns the future of its result. Blocks while
-  /// the queue is full (backpressure). After drain()/shutdown() the future
-  /// resolves immediately to a structured refusal failure.
+  /// Enqueues a request as a one-slot batch and returns the future of its
+  /// result. Blocks while the queue is full (backpressure). After
+  /// drain()/shutdown() the future resolves immediately to a structured
+  /// refusal failure.
   [[nodiscard]] std::future<SolveResult> submit(SolveRequest req);
 
   /// Callback form of submit(): `sink` is invoked with the result instead
@@ -207,14 +208,6 @@ class Service {
   /// encoding happens off the event loop). Same backpressure/refusal
   /// contract as submit().
   void submit_async(SolveRequest req, ResultSink sink);
-
-  /// Non-blocking submit_async: returns false when the queue is full,
-  /// leaving `req`/`sink` intact so the caller can park them and retry
-  /// (the daemon pauses the connection's reads instead of blocking its
-  /// event loop). Refusals after drain()/shutdown() consume the request —
-  /// the sink is invoked inline with the structured refusal — and return
-  /// true.
-  [[nodiscard]] bool try_submit_async(SolveRequest& req, ResultSink& sink);
 
   /// Completion callback for the batch submit paths: invoked exactly once
   /// with results positionally aligned to the submitted requests. Must not
@@ -229,8 +222,8 @@ class Service {
   /// `reqs` and bitwise-equal to N independent submit() calls (DESIGN.md
   /// §10). Blocks
   /// while the queue is full; after drain()/shutdown() every slot resolves
-  /// to a structured refusal. Batches bypass in-flight coalescing — dedup
-  /// against concurrent singles happens through the cache instead.
+  /// to a structured refusal. Dedup against concurrent requests in other
+  /// jobs happens through the cache.
   [[nodiscard]] std::future<std::vector<SolveResult>> submit_batch(
       std::vector<SolveRequest> reqs);
 
@@ -242,9 +235,11 @@ class Service {
   void submit_batch_async(std::vector<SolveRequest> reqs, BatchSink sink);
 
   /// Non-blocking submit_batch_async: returns false when the queue is
-  /// full, leaving `reqs`/`sink` intact for the caller to park and retry.
-  /// Refusals after drain()/shutdown() consume the batch — the sink runs
-  /// inline with one structured refusal per slot — and return true.
+  /// full, leaving `reqs`/`sink` intact for the caller to park and retry
+  /// (the daemon pauses the connection's reads instead of blocking its
+  /// event loop). Refusals after drain()/shutdown() consume the batch — the
+  /// sink runs inline with one structured refusal per slot — and return
+  /// true.
   [[nodiscard]] bool try_submit_batch_async(std::vector<SolveRequest>& reqs,
                                             BatchSink& sink);
 
@@ -278,50 +273,31 @@ class Service {
   CompactReport compact_caches();
 
  private:
+  /// One queue slot: a submit_batch payload, or a single submit as a
+  /// one-slot batch. Either way it is one backpressure unit and one worker
+  /// dispatch through the fused batch core.
   struct Job {
-    SolveRequest req;
-    ResultSink sink;
-    /// Batch variant: when `is_batch`, `batch`/`batch_sink` carry the whole
-    /// submit_batch payload and `req`/`sink` are unused. One Job = one
-    /// queue slot either way — a batch occupies a single backpressure unit.
-    std::vector<SolveRequest> batch;
-    BatchSink batch_sink;
-    bool is_batch = false;
+    std::vector<SolveRequest> reqs;
+    BatchSink sink;
     /// Absolute steady-clock expiry (util::steady_now_ms domain; 0 =
-    /// none), stamped at ADMISSION from the request's relative
-    /// deadline_ms so queue time counts against the budget. A batch
-    /// carries the tightest nonzero deadline among its slots.
+    /// none), stamped at ADMISSION from the tightest nonzero slot
+    /// deadline_ms so queue time counts against the budget.
     std::uint64_t deadline_at = 0;
-    /// This job's cancel token: the request's own (set by net::Server) or
-    /// one the Service created at admission because a deadline or the
-    /// watchdog needs one (see arm_job_cancel). A batch's token is its
-    /// frame token (slot 0's SolveRequest::cancel, which a created token is
-    /// stored into). nullptr = job is not cancellable.
+    /// This job's cancel token: slot 0's SolveRequest::cancel (set by
+    /// net::Server), or one the Service created at admission because a
+    /// deadline or the watchdog needs one and stored into slot 0 (see
+    /// arm_job_cancel). nullptr = job is not cancellable.
     std::shared_ptr<util::CancelToken> cancel;
-  };
-  /// A request parked on an in-flight twin. Keeps its whole SolveRequest
-  /// (instance moved, cheap) so fulfillment can replay through that
-  /// instance's canonical permutation — and so a waiter whose leader got
-  /// *cancelled* can be re-queued as its own request instead of inheriting
-  /// a cancellation it never asked for.
-  struct Waiter {
-    ResultSink sink;
-    SolveRequest req;
-    std::uint64_t deadline_at = 0;
-  };
-  struct InFlight {
-    std::vector<Waiter> waiters;
-  };
-  /// In-flight twins are keyed by the owned binary cache key; the 64-bit
-  /// canonical-and-options hash is the map hash (full keys disambiguate).
-  struct FlightHash {
-    std::size_t operator()(const service::CacheKey& k) const {
-      return static_cast<std::size_t>(k.hash);
-    }
   };
 
   void worker_loop(std::size_t worker);
-  void process(Job job, std::size_t worker);
+  /// Admission shared by every submit path: stamps the deadline, arms the
+  /// token, counts the requests and pushes the job (blocking or not).
+  /// Returns false only for a non-blocking push into a full queue, with
+  /// `job` left intact; otherwise the job is queued or already refused.
+  bool admit(Job& job, bool block);
+  /// One dispatch: the watchdog guard, the solve.stall point, a cancel
+  /// check, then the fused batch core over every slot.
   void process_batch(Job job, std::size_t worker);
   /// Deadline/cancellation shedding: answers every slot of a dead job with
   /// the structured `reason` failure without touching cache or engine —
@@ -334,16 +310,9 @@ class Service {
   /// Supervisor: trips the token of any worker whose solve heartbeat is
   /// older than Options::watchdog_ms.
   void watchdog_loop();
-  /// Answers a parked waiter after its leader was cancelled: with the
-  /// waiter's own cancellation if ITS token tripped, otherwise by
-  /// re-queuing it as a fresh job (refused Overloaded if the queue is
-  /// full) — one client's cancel never poisons another's twin request.
-  void requeue_waiter(Waiter w);
-  /// One structured refusal per slot, invoked inline on the submitting
-  /// thread (mirrors the single-request refusal path). `reason` is one of
-  /// the kErr* contract strings above.
-  void refuse_batch(std::vector<SolveRequest>& reqs, BatchSink& sink,
-                    const char* reason);
+  /// One structured refusal per slot, delivered through the job's sink.
+  /// `reason` is one of the kErr* contract strings above.
+  void refuse_job(Job& job, const char* reason);
   /// Shared close-and-join half of drain()/shutdown().
   void stop_workers();
   [[nodiscard]] SolveOptions effective_options(const SolveRequest& req) const;
@@ -358,17 +327,13 @@ class Service {
   /// The L2 tier; null when Options::persist.dir is empty.
   std::unique_ptr<service::PersistCache> persist_;
   util::MpmcQueue<Job> queue_;
-  std::mutex inflight_mu_;
-  std::unordered_map<service::CacheKey, InFlight, FlightHash> inflight_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> express_{0};
   std::atomic<std::uint64_t> batch_submits_{0};
   std::atomic<std::uint64_t> batch_dedup_{0};
   std::atomic<std::uint64_t> promotions_{0};
-  std::atomic<std::uint64_t> packed_{0};
   std::atomic<std::uint64_t> arena_acquires_{0};
   std::atomic<std::uint64_t> arena_reuses_{0};
   std::atomic<std::uint64_t> arena_fresh_{0};

@@ -19,6 +19,7 @@
 #include "copath.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "invariants.hpp"
 #include "testing.hpp"
 #include "util/rng.hpp"
 
@@ -105,8 +106,10 @@ TEST(ServiceBatch, DifferentialAgainstIndependentSubmitsColdAndWarm) {
   const Service::Stats s = batch_svc.stats();
   EXPECT_EQ(s.batch_submits, 2u);
   EXPECT_GT(s.batch_dedup_hits, 0u);  // duplicates + twins were grouped
-  EXPECT_GT(s.packed_solves, 0u);     // groups solved by the kernel
+  EXPECT_GT(s.express_solves, 0u);    // groups solved by the kernel
   EXPECT_EQ(s.completed, 2 * keep.size());
+  testing::expect_quiescent(s);
+  testing::expect_quiescent(indep_svc);
 }
 
 TEST(ServiceBatch, CachelessDifferentialStaysBitwiseEqual) {
@@ -134,6 +137,8 @@ TEST(ServiceBatch, CachelessDifferentialStaysBitwiseEqual) {
     expect_equal_core(batched[i], singles[i].get(),
                       "cacheless instance " + std::to_string(i));
   }
+  testing::expect_quiescent(batch_svc);
+  testing::expect_quiescent(indep_svc);
 }
 
 TEST(ServiceBatch, DedupedResultsSurviveTheIndependentValidator) {
@@ -162,6 +167,7 @@ TEST(ServiceBatch, DedupedResultsSurviveTheIndependentValidator) {
   }
   const Service::Stats s = svc.stats();
   EXPECT_GE(s.batch_dedup_hits, keep.size() / 3);  // twins AND dups hit
+  testing::expect_quiescent(s);
 }
 
 TEST(ServiceBatch, EmptySingletonAndAllDuplicateShapes) {
@@ -189,6 +195,7 @@ TEST(ServiceBatch, EmptySingletonAndAllDuplicateShapes) {
     expect_equal_core(r, dres[0], "all-duplicate member");
   }
   EXPECT_EQ(svc.stats().batch_dedup_hits - dedup_before, 15u);
+  testing::expect_quiescent(svc);
 }
 
 TEST(ServiceBatch, InstanceConvenienceOverloadMatchesRequestForm) {
@@ -203,6 +210,7 @@ TEST(ServiceBatch, InstanceConvenienceOverloadMatchesRequestForm) {
                     "span overload slot 0");
   expect_equal_core(res[1], svc.submit({Instance::view(b), {}, {}}).get(),
                     "span overload slot 1");
+  testing::expect_quiescent(svc);
 }
 
 TEST(ServiceBatch, FailuresAreIsolatedPerSlot) {
@@ -226,6 +234,7 @@ TEST(ServiceBatch, FailuresAreIsolatedPerSlot) {
   EXPECT_EQ(res[0].label, "good0");
   EXPECT_EQ(res[1].label, "bad1");
   EXPECT_EQ(res[4].label, "bad4");
+  testing::expect_quiescent(svc);
 }
 
 TEST(ServiceBatch, DrainRefusesWholeBatchStructurally) {
@@ -240,6 +249,7 @@ TEST(ServiceBatch, DrainRefusesWholeBatchStructurally) {
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error, "service is draining");
   }
+  testing::expect_quiescent(svc);
 }
 
 // ---------------------------------------------------------- Solver lane
@@ -358,6 +368,7 @@ TEST(BatchStress, ConcurrentBatchesSinglesAndDrainStayStructured) {
   const Service::Stats s = svc.stats();
   EXPECT_EQ(s.completed, s.submitted);
   EXPECT_EQ(resolved.load(), s.submitted);
+  testing::expect_quiescent(s);
 }
 
 // ------------------------------------------------------------- protocol
@@ -487,6 +498,7 @@ struct DaemonFixture {
   }
   ~DaemonFixture() {
     if (server != nullptr) {
+      testing::expect_quiescent(connect().stats());
       server->request_drain();
       thread.join();
     }
@@ -545,6 +557,7 @@ TEST(DaemonBatch, OneFrameDifferentialAgainstInProcessService) {
   }
   EXPECT_EQ(batches, 1u);
   EXPECT_GE(dedup, keep.size());
+  testing::expect_quiescent(svc);
 }
 
 TEST(DaemonBatch, PerSlotInvalidSignatureLeavesTheRestSolving) {

@@ -28,6 +28,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "invariants.hpp"
 #include "testing.hpp"
 
 namespace copath {
@@ -334,6 +335,7 @@ struct DaemonFixture {
   }
   ~DaemonFixture() {
     if (server != nullptr) {
+      testing::expect_quiescent(connect().stats());
       server->request_drain();
       thread.join();
     }
@@ -368,16 +370,24 @@ struct RawConn {
     net::write_all(fd.get(), data.data(), data.size());
   }
 
+  /// Blocking read of one whole response frame, length prefix included.
+  std::string read_frame() {
+    std::string frame(4, '\0');
+    EXPECT_TRUE(net::read_exact(fd.get(), frame.data(), frame.size()));
+    std::uint32_t len = 0;
+    for (int i = 3; i >= 0; --i) {
+      len = (len << 8) | static_cast<std::uint8_t>(frame[i]);
+    }
+    frame.resize(4 + len);
+    EXPECT_TRUE(net::read_exact(fd.get(), frame.data() + 4, len));
+    return frame;
+  }
+
   /// Blocking read of one response frame's parsed payload.
   proto::Response read_response() {
-    std::uint8_t header[4];
-    EXPECT_TRUE(net::read_exact(fd.get(), header, sizeof(header)));
-    std::uint32_t len = 0;
-    for (int i = 3; i >= 0; --i) len = (len << 8) | header[i];
-    std::string payload(len, '\0');
-    EXPECT_TRUE(net::read_exact(fd.get(), payload.data(), payload.size()));
+    const std::string frame = read_frame();
     proto::Response res;
-    EXPECT_TRUE(proto::parse_response(payload, &res));
+    EXPECT_TRUE(proto::parse_response(std::string_view(frame).substr(4), &res));
     return res;
   }
 
@@ -443,6 +453,7 @@ TEST(Daemon, TextAndSignatureDifferentialAgainstInProcessService) {
     if (k == "cache_hits") hits = v;
   }
   EXPECT_GE(hits, 12u);
+  testing::expect_quiescent(svc);
 }
 
 TEST(Daemon, HamiltonianCycleTravelsTheWire) {
@@ -588,6 +599,97 @@ TEST(Daemon, InvalidSignatureIsRefusedStructurally) {
   EXPECT_EQ(cli.health().status, Status::Ok);
 }
 
+TEST(Daemon, SolveFrameAnswersExactlyLikeAOneItemBatch) {
+  // A Solve frame is served as a one-slot batch; the wire must not show
+  // it. For text and signature bodies, with and without a deadline, the
+  // Solve response frame is byte-identical to the encoding of an
+  // in-process Service::submit result for the same bytes, and a one-item
+  // BatchSolve of the same bytes carries that same result in its slot.
+  // wall_ms is the engine's measured time, the one field two separate
+  // solves cannot share, so the in-process result takes the daemon's.
+  DaemonFixture daemon;
+  RawConn raw(daemon.server->port());
+  ASSERT_EQ(raw.status, Status::Ok);
+  Service svc;
+  const proto::WireOptions wopts{};
+  std::uint64_t seq = 100;
+  unsigned trial = 0;
+  for (const Verb verb : {Verb::SolveText, Verb::SolveSignature}) {
+    for (const std::uint32_t deadline_ms : {0u, 60000u}) {
+      const std::string what = std::string(verb == Verb::SolveText
+                                               ? "text"
+                                               : "signature") +
+                               " deadline " + std::to_string(deadline_ms);
+      // A distinct instance per case: each Solve frame is a cold miss on
+      // the daemon, like the in-process submit.
+      const Cotree t = testing::random_cotree(20 + 7 * trial, 93000 + trial);
+      ++trial;
+      const bool sig = verb == Verb::SolveSignature;
+      const std::string body =
+          sig ? canonical_form(t, /*with_algebra_key=*/false).signature
+              : t.format();
+
+      const std::uint64_t solve_seq = ++seq;
+      std::string out;
+      proto::append_solve_request(out, verb, solve_seq, wopts, body,
+                                  deadline_ms);
+      raw.send(out);
+      const std::string solve_frame = raw.read_frame();
+      proto::Response decoded;
+      ASSERT_TRUE(proto::parse_response(
+          std::string_view(solve_frame).substr(4), &decoded))
+          << what;
+      ASSERT_EQ(decoded.status, Status::Ok) << what << ": " << decoded.error;
+
+      SolveRequest local_req;
+      local_req.instance = sig ? Instance::signature(body)
+                               : Instance::text(body);
+      local_req.options =
+          proto::apply_wire_options(wopts, Service::Options{}.solve);
+      local_req.deadline_ms = deadline_ms;
+      SolveResult local = svc.submit(std::move(local_req)).get();
+      ASSERT_TRUE(local.ok) << what << ": " << local.error;
+      local.wall_ms = decoded.result.wall_ms;
+      EXPECT_EQ(solve_frame,
+                proto::encode_solve_response_frame(solve_seq, verb,
+                                                   Status::Ok, &local, {}))
+          << what;
+
+      const std::uint64_t batch_seq = ++seq;
+      out.clear();
+      const proto::BatchItem item{sig, body};
+      proto::append_batch_request(out, batch_seq, wopts,
+                                  std::span<const proto::BatchItem>(&item, 1),
+                                  deadline_ms);
+      raw.send(out);
+      const proto::BatchResponseEntry entry{Status::Ok, &local, {}};
+      EXPECT_EQ(raw.read_frame(),
+                proto::encode_batch_response_frame(
+                    batch_seq,
+                    std::span<const proto::BatchResponseEntry>(&entry, 1)))
+          << what;
+    }
+  }
+
+  // An invalid signature is still refused inline with a Solve-verb
+  // InvalidSignature status frame, never as a batch slot.
+  const std::string bad = bytes("\x00\x00\x02", 3);
+  std::string why;
+  ASSERT_FALSE(cograph::signature_valid(bad, &why));
+  for (const std::uint32_t deadline_ms : {0u, 60000u}) {
+    const std::uint64_t bad_seq = ++seq;
+    std::string out;
+    proto::append_solve_request(out, Verb::SolveSignature, bad_seq, wopts,
+                                bad, deadline_ms);
+    raw.send(out);
+    EXPECT_EQ(raw.read_frame(),
+              proto::encode_status_response_frame(
+                  bad_seq, Verb::SolveSignature, Status::InvalidSignature,
+                  why));
+  }
+  testing::expect_quiescent(svc);
+}
+
 TEST(Daemon, UnregisteredBackendFailsStructurally) {
   DaemonFixture daemon;
   net::Client cli = daemon.connect();
@@ -611,6 +713,7 @@ TEST(Daemon, DrainAcknowledgesThenStopsTheServer) {
   {
     net::Client cli("127.0.0.1", port);
     ASSERT_EQ(cli.solve_text("(+ a b)").status, Status::Ok);
+    testing::expect_quiescent(cli.stats());
     EXPECT_EQ(cli.drain().status, Status::Ok);
   }
   loop.join();  // run() returns exactly when the drain completes

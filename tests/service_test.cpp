@@ -2,8 +2,8 @@
 // (full-key collision check, LRU eviction, stats), the canonical-space
 // result remapping, and copath::Service end to end — the >= 100-instance
 // cache differential (cached results bitwise-equal to the uncached path),
-// permuted-twin soundness, in-flight duplicate coalescing (concurrent
-// identical requests compute once), error paths, and shutdown draining.
+// permuted-twin soundness, error paths, and shutdown draining. Every
+// Service test ends by asserting the quiescent counter invariants.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "copath.hpp"
+#include "invariants.hpp"
 #include "testing.hpp"
 #include "util/rng.hpp"
 
@@ -270,9 +271,10 @@ TEST(Service, CacheDifferentialOn120RandomInstancesMatchesUncachedBitwise) {
   const auto stats = svc.stats();
   EXPECT_EQ(stats.submitted, 240u);
   EXPECT_EQ(stats.completed, 240u);
-  // Round 2 is fully warm; round 1 may already coalesce/hit duplicates.
+  // Round 2 is fully warm; round 1 may already hit duplicates.
   EXPECT_GE(stats.cache_hits, 120u);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 240u);
+  testing::expect_quiescent(stats);
 }
 
 TEST(Service, PermutedAndRelabeledTwinsHitTheCacheAndStaySound) {
@@ -308,6 +310,7 @@ TEST(Service, PermutedAndRelabeledTwinsHitTheCacheAndStaySound) {
     EXPECT_TRUE(report.ok) << i << ": " << report.error;
   }
   EXPECT_GE(svc.stats().cache_hits, expected_hits);
+  testing::expect_quiescent(svc);
 }
 
 /// The fields a default Service answer shares with a direct
@@ -388,6 +391,7 @@ TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
         expect_sequential_answer(got, want, what + " cache off");
         EXPECT_EQ(svc.stats().lease_acquires, 0u) << what;
         EXPECT_EQ(svc.stats().express_solves, 1u) << what;
+        testing::expect_quiescent(svc);
       }
 
       Service::Options sopts;
@@ -415,52 +419,9 @@ TEST(ServiceAboveFloor, LeasedSolvesMatchDirectSequentialSolves) {
       EXPECT_EQ(stats.lease_acquires, 0u) << what;
       EXPECT_EQ(stats.cache_hits, 1u) << what;
       EXPECT_EQ(stats.express_solves, 1u) << what;
+      testing::expect_quiescent(stats);
     }
   }
-}
-
-TEST(Service, ConcurrentIdenticalRequestsComputeOnce) {
-  // A deliberately slow custom backend counts engine invocations; 8
-  // concurrent identical requests over 4 workers must reach it exactly
-  // once — the rest coalesce onto the in-flight computation (or hit the
-  // cache if they arrive after it finishes).
-  static std::atomic<int> invocations{0};
-  const auto slow_backend = static_cast<Backend>(210);
-  BackendRegistry::instance().add(
-      slow_backend, "slow-singletons",
-      [](const Cotree& t, const core::BackendConfig&) {
-        invocations.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        core::BackendOutput out;
-        for (std::size_t v = 0; v < t.vertex_count(); ++v) {
-          out.cover.paths.push_back({static_cast<VertexId>(v)});
-        }
-        return out;
-      },
-      /*exact=*/false);
-
-  Service::Options sopts;
-  sopts.workers = 4;
-  sopts.solve.backend = slow_backend;
-  Service svc(sopts);
-  const Cotree t = cograph::independent_set(6);
-  std::vector<std::future<SolveResult>> futures;
-  futures.reserve(8);
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(svc.submit(
-        SolveRequest{Instance::view(t), {}, "dup-" + std::to_string(i)}));
-  }
-  for (int i = 0; i < 8; ++i) {
-    const SolveResult res = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.label, "dup-" + std::to_string(i));
-    EXPECT_EQ(res.cover.size(), 6u);
-    EXPECT_TRUE(res.minimum);  // singletons are minimum on the empty graph
-  }
-  EXPECT_EQ(invocations.load(), 1);
-  const auto stats = svc.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.coalesced + stats.cache_hits, 7u);
 }
 
 TEST(Service, DisablingTheCacheStillServesCorrectly) {
@@ -480,6 +441,7 @@ TEST(Service, DisablingTheCacheStillServesCorrectly) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, 0u);
   EXPECT_EQ(stats.cache.insertions, 0u);
+  testing::expect_quiescent(stats);
 }
 
 TEST(Service, NonStandardThrowingBackendFailsStructurally) {
@@ -510,6 +472,7 @@ TEST(Service, NonStandardThrowingBackendFailsStructurally) {
     auto ok_fut =
         svc.submit(SolveRequest{Instance::view(t), ok_opts, "after"});
     EXPECT_TRUE(ok_fut.get().ok);
+    testing::expect_quiescent(svc);
   }
 }
 
@@ -530,6 +493,7 @@ TEST(Service, BadInstancesFailStructurallyWithoutPoisoning) {
   EXPECT_TRUE(rg.hamiltonian_path);
   // Failures are not cached.
   EXPECT_EQ(svc.stats().cache.insertions, 1u);
+  testing::expect_quiescent(svc);
 }
 
 TEST(Service, EvictionUnderTinyCapacityKeepsServingCorrectly) {
@@ -552,6 +516,7 @@ TEST(Service, EvictionUnderTinyCapacityKeepsServingCorrectly) {
     }
   }
   EXPECT_GT(svc.stats().cache.evictions, 0u);
+  testing::expect_quiescent(svc);
 }
 
 TEST(Service, ShutdownDrainsQueuedWorkAndFailsLateSubmits) {
@@ -575,6 +540,7 @@ TEST(Service, ShutdownDrainsQueuedWorkAndFailsLateSubmits) {
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("shut down"), std::string::npos) << res.error;
   svc.shutdown();  // idempotent
+  testing::expect_quiescent(svc);
 }
 
 TEST(Service, DrainRefusesWithItsOwnReasonAndAdvertisesState) {
@@ -596,6 +562,7 @@ TEST(Service, DrainRefusesWithItsOwnReasonAndAdvertisesState) {
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("draining"), std::string::npos) << res.error;
   svc.drain();  // idempotent, like shutdown()
+  testing::expect_quiescent(svc);
 }
 
 TEST(Service, StatsTrackQueueDepthAndInFlight) {
@@ -617,7 +584,7 @@ TEST(Service, StatsTrackQueueDepthAndInFlight) {
       /*exact=*/false);
   Service::Options sopts;
   sopts.workers = 1;
-  sopts.use_cache = false;  // three distinct computes, no coalescing
+  sopts.use_cache = false;  // three distinct computes
   sopts.solve.backend = static_cast<Backend>(212);
   Service svc(sopts);
 
@@ -641,6 +608,7 @@ TEST(Service, StatsTrackQueueDepthAndInFlight) {
   EXPECT_EQ(done.queue_depth, 0u);
   EXPECT_EQ(done.submitted, 3u);
   EXPECT_EQ(done.completed, 3u);
+  testing::expect_quiescent(done);
 }
 
 }  // namespace
